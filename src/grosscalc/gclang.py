@@ -17,12 +17,15 @@ Comparisons do not chain.  The glyph `①` reads as the identifier `G`.
 The `fields` block is a brace-suffixed record accepted only by `num`,
 carrying digit strings: num(10, G){head: "", tail: "1", sign: "-"}.
 
-Evaluation produces plain library values plus two wrappers, MeasuredSet
-and SignedMeasured, which carry a set both as its canonical residue
-record and as the expression tree it was built from.  The record answers
-algebraic questions (cardinality, rendering); the tree answers
-extensional ones (membership, finite enumeration), so every measurement
-stays checkable against brute force.  The two are never merged.
+Evaluation produces plain library values plus set values.  Every set
+value is dual-route: one private base carries the set both as its
+canonical residue record and as the expression tree it was built from,
+and its two empty subclasses only tell a subset of N (MeasuredSet) from a
+subset of Z (SignedMeasured, whose record and tree are both
+setmeasure.SignedSet containers).  The record answers algebraic questions
+(cardinality, rendering); the tree answers extensional ones (membership,
+finite enumeration), so every measurement stays checkable against brute
+force.  The two are never merged.
 
 Canonical rendering is inverse to the parser on calculator values:
 re-parsing a rendered count, set, or boolean evaluates to an equal value.
@@ -32,15 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from . import gnum, observer, oracle, posnum, setmeasure
-from .errors import (
-    DivisionByZero,
-    EvalError,
-    ExponentTooLarge,
-    NonIntegerExponent,
-    ParseError,
-    UnboundIdentifier,
-    UnsupportedPower,
-)
+from .errors import EvalError, ParseError, UnboundIdentifier
 from .gnum import (
     CritRef,
     ExpCount,
@@ -59,7 +54,6 @@ from .observer import (
     tokens_equal,
 )
 from .setmeasure import (
-    EMPTY_E,
     INTEGERS,
     NATURALS,
     UNIVERSE_Z_E,
@@ -70,11 +64,8 @@ from .setmeasure import (
     ProgressionE,
     SetExpr,
     SetOp,
-    SignedExprE,
     SignedSet,
     UniverseNE,
-    render_nat,
-    render_signed,
 )
 
 
@@ -384,15 +375,15 @@ def parse(text: str) -> Ast:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasuredSet:
-    """A subset of the naturals kept on both bookkeeping routes: the
-    canonical residue record and the expression tree it came from."""
+class _DualRoute:
+    """A set kept on both bookkeeping routes: the canonical residue record
+    and the expression tree it came from.  Values compare by record."""
 
-    record: NatSubset
-    expr: SetExpr
+    record: Union[NatSubset, SignedSet]
+    expr: Union[SetExpr, SignedSet]
 
     def __eq__(self, other):
-        if isinstance(other, MeasuredSet):
+        if isinstance(other, type(self)):
             return self.record == other.record
         return NotImplemented
 
@@ -400,26 +391,15 @@ class MeasuredSet:
         return hash(self.record)
 
     def __repr__(self):
-        return f"MeasuredSet<{render_nat(self.record)}>"
+        return f"{type(self).__name__}<{self.record}>"
 
 
-@dataclass(frozen=True, eq=False)
-class SignedMeasured:
-    """A subset of the integers, dual-route like MeasuredSet."""
+class MeasuredSet(_DualRoute):
+    """A subset of the naturals: a NatSubset record and a SetExpr tree."""
 
-    record: SignedSet
-    expr: SignedExprE
 
-    def __eq__(self, other):
-        if isinstance(other, SignedMeasured):
-            return self.record == other.record
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.record)
-
-    def __repr__(self):
-        return f"SignedMeasured<{render_signed(self.record)}>"
+class SignedMeasured(_DualRoute):
+    """A subset of the integers: a SignedSet of records and one of trees."""
 
 
 Value = object
@@ -493,10 +473,10 @@ def _want_system(v) -> CountingSystem:
     return v
 
 
-def _as_signed(v) -> Tuple[SignedSet, SignedExprE]:
+def _as_signed(v: _DualRoute) -> SignedMeasured:
     if isinstance(v, SignedMeasured):
-        return v.record, v.expr
-    return setmeasure.lift_signed(v.record), setmeasure.lift_signed_expr(v.expr)
+        return v
+    return SignedMeasured(setmeasure.lift_signed(v.record), setmeasure.lift_signed(v.expr))
 
 
 def _digit_tuple(text: str, what: str) -> Tuple[int, ...]:
@@ -512,10 +492,8 @@ def _digit_tuple(text: str, what: str) -> Tuple[int, ...]:
 
 
 def _call_card(s):
-    if isinstance(s, MeasuredSet):
-        return setmeasure.card(s.record)
-    if isinstance(s, SignedMeasured):
-        return setmeasure.card_signed(s.record)
+    if isinstance(s, _DualRoute):
+        return s.record.card()
     raise EvalError(f"card expects a set, got {type_tag(s)}")
 
 
@@ -538,10 +516,7 @@ def _call_ap(first, step):
 
 def _call_mirror(s):
     s = _want_nat_set(s, "the argument of mirror")
-    return SignedMeasured(
-        SignedSet(s.record, False, setmeasure.EMPTY),
-        SignedExprE(s.expr, False, EMPTY_E),
-    )
+    return SignedMeasured(setmeasure.mirror_signed(s.record), setmeasure.mirror_signed(s.expr))
 
 
 def _call_numerals(base, length):
@@ -661,55 +636,7 @@ def _call_num(args, fields):
 def _eval_pow(base, exp):
     if isinstance(exp, CritRef):
         return gnum.pow_count(_want_int(base, "the base of a critical power"), exp)
-    base = _want_number(base, "the base of ^")
-    exp = _want_number(exp, "the exponent")
-    if isinstance(base, GrossPoly):
-        r = base.as_rational()
-        if r is not None:
-            # numeric base: delegate finite cases to exact rational
-            # arithmetic, infinite exponents to the counting closure
-            if isinstance(exp, GrossPoly) and exp.as_rational() is not None:
-                k = exp.as_int()
-                if k is None:
-                    raise NonIntegerExponent("finite exponents must be integers")
-                if r == 0 and k < 0:
-                    raise DivisionByZero("0 cannot be raised to a negative power")
-                bits = max(abs(r.numerator), r.denominator).bit_length()
-                if bits * abs(k) > gnum.MATERIALIZE_BIT_CAP:
-                    raise ExponentTooLarge(f"{r}^{k} will not be materialized")
-                return fin(r**k)
-            if r == 1:
-                return gnum.ONE
-            if r == 0:
-                return gnum.ZERO
-            if r.denominator == 1 and r >= 2:
-                return gnum.pow_count(int(r), exp)
-            raise UnsupportedPower(
-                f"{render_gross(base)} has no closed power for an infinite exponent"
-            )
-        coeff, inner = base.leading()
-        if len(base.terms) == 1 and coeff == 1:
-            # a pure power of G: exponents multiply
-            return gnum.gterm(1, gnum.mul(inner, exp))
-        return _repeated_power(base, exp)
-    return _repeated_power(base, exp)
-
-
-_POW_UNROLL_LIMIT = 512
-
-
-def _repeated_power(base, exp):
-    k = exp.as_int() if isinstance(exp, GrossPoly) else None
-    if k is None or k < 0:
-        raise UnsupportedPower(
-            f"{render_gross(base)} only takes finite non-negative integer powers"
-        )
-    if k > _POW_UNROLL_LIMIT:
-        raise ExponentTooLarge(f"power {k} of {render_gross(base)} will not be unrolled")
-    out = gnum.ONE
-    for _ in range(k):
-        out = gnum.mul(out, base)
-    return out
+    return gnum.power(_want_number(base, "the base of ^"), _want_number(exp, "the exponent"))
 
 
 def _eval_arith(op, a, b):
@@ -721,9 +648,7 @@ def _eval_arith(op, a, b):
             n = _want_int(b, "the critical-length shift")
             return CritRef(a.base, a.target, a.offset + (n if op == "+" else -n))
         raise EvalError("critical lengths only shift by finite integers")
-    if isinstance(a, (MeasuredSet, SignedMeasured)) or isinstance(
-        b, (MeasuredSet, SignedMeasured)
-    ):
+    if isinstance(a, _DualRoute) or isinstance(b, _DualRoute):
         raise EvalError(f"{op} does not apply to sets; use | & \\ ~")
     a = _want_number(a, f"the left operand of {op}")
     b = _want_number(b, f"the right operand of {op}")
@@ -738,17 +663,17 @@ def _eval_arith(op, a, b):
 
 def _eval_setop(op, a, b):
     for side in (a, b):
-        if not isinstance(side, (MeasuredSet, SignedMeasured)):
+        if not isinstance(side, _DualRoute):
             raise EvalError(f"{op} expects sets, got {type_tag(side)}")
+    op = _SET_OPS[op]
     if isinstance(a, MeasuredSet) and isinstance(b, MeasuredSet):
         return MeasuredSet(
-            setmeasure.combine(_SET_OPS[op], a.record, b.record),
-            CombineE(_SET_OPS[op], a.expr, b.expr),
+            setmeasure.combine(op, a.record, b.record), CombineE(op, a.expr, b.expr)
         )
-    (ra, ea), (rb, eb) = _as_signed(a), _as_signed(b)
+    a, b = _as_signed(a), _as_signed(b)
     return SignedMeasured(
-        setmeasure.combine_signed(_SET_OPS[op], ra, rb),
-        setmeasure.combine_signed_expr(_SET_OPS[op], ea, eb),
+        setmeasure.combine_signed(op, a.record, b.record),
+        setmeasure.combine_signed(op, a.expr, b.expr),
     )
 
 
@@ -767,12 +692,8 @@ def _eval_cmp(op, a, b):
     if isinstance(a, posnum.InfNumeral) and isinstance(b, posnum.InfNumeral):
         return posnum.compare_numerals(a, b) in _VERDICTS[op]
     if op == "==":
-        if isinstance(a, (MeasuredSet, SignedMeasured)) and isinstance(
-            b, (MeasuredSet, SignedMeasured)
-        ):
-            if type(a) is type(b):
-                return a == b
-            return _as_signed(a)[0] == _as_signed(b)[0]
+        if isinstance(a, _DualRoute) and isinstance(b, _DualRoute):
+            return _as_signed(a) == _as_signed(b)
         if isinstance(a, (ExactToken, NamedToken)) and isinstance(
             b, (ExactToken, NamedToken)
         ):
@@ -801,7 +722,7 @@ def _eval_set_literal(elems):
         return pos
     return SignedMeasured(
         SignedSet(setmeasure.finite_set(negatives), has_zero, pos.record),
-        SignedExprE(FiniteSetE(frozenset(negatives)), has_zero, pos.expr),
+        SignedSet(FiniteSetE(frozenset(negatives)), has_zero, pos.expr),
     )
 
 
@@ -828,18 +749,26 @@ def evaluate(ast: Ast, env: Dict[str, Value]) -> Value:
             return MeasuredSet(setmeasure.complement(v.record), ComplementE(v.expr))
         if isinstance(v, SignedMeasured):
             return SignedMeasured(
-                setmeasure.complement_signed(v.record),
-                setmeasure.complement_signed_expr(v.expr),
+                setmeasure.complement_signed(v.record), setmeasure.complement_signed(v.expr)
             )
         raise EvalError(f"~ expects a set, got {type_tag(v)}")
     if isinstance(ast, Bin):
-        a = evaluate(ast.left, env)
-        b = evaluate(ast.right, env)
-        if ast.op == "^":
-            return _eval_pow(a, b)
-        if ast.op in _SET_OPS:
-            return _eval_setop(ast.op, a, b)
-        return _eval_arith(ast.op, a, b)
+        # a loop down the left spine, evaluating left to right: a rendered
+        # union of a thousand residue classes must not recurse per operator
+        spine = []
+        while isinstance(ast, Bin):
+            spine.append(ast)
+            ast = ast.left
+        acc = evaluate(ast, env)
+        for node in reversed(spine):
+            b = evaluate(node.right, env)
+            if node.op == "^":
+                acc = _eval_pow(acc, b)
+            elif node.op in _SET_OPS:
+                acc = _eval_setop(node.op, acc, b)
+            else:
+                acc = _eval_arith(node.op, acc, b)
+        return acc
     if isinstance(ast, Cmp):
         return _eval_cmp(ast.op, evaluate(ast.left, env), evaluate(ast.right, env))
     if isinstance(ast, SetLit):
@@ -877,7 +806,7 @@ def card_source(ast: Ast, env: Dict[str, Value]):
         return card_source(ast.value, env)
     if isinstance(ast, Call) and ast.func == "card" and len(ast.args) == 1:
         v = evaluate(ast.args[0], env)
-        if isinstance(v, (MeasuredSet, SignedMeasured)):
+        if isinstance(v, _DualRoute):
             return v.expr
     return None
 
@@ -895,10 +824,8 @@ def render_value(v: Value) -> str:
         return render_gross(v)
     if isinstance(v, CritRef):
         return render_critref(v)
-    if isinstance(v, MeasuredSet):
-        return render_nat(v.record)
-    if isinstance(v, SignedMeasured):
-        return render_signed(v.record)
+    if isinstance(v, _DualRoute):
+        return str(v.record)
     if isinstance(v, posnum.InfNumeral):
         return posnum.render_numeral(v)
     if isinstance(v, posnum.CriticalPair):

@@ -50,6 +50,9 @@ _POWER_BIT_GUARD = 10 ** 6
 # Finite powers are materialized as exact integers up to this many bits.
 MATERIALIZE_BIT_CAP = 10 ** 6
 
+# Powers of multi-term values are unrolled into at most this many products.
+_POW_UNROLL_LIMIT = 512
+
 
 class Ordering(Enum):
     LESS = -1
@@ -78,8 +81,51 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GrossPoly:
+class _Arithmetic:
+    """The operators GrossPoly and ExpCount share: thin wrappers over the
+    module-level functions, with plain ints and Fractions coerced.  The
+    dataclasses below set ``repr=False`` so this ``__repr__`` stays theirs."""
+
+    def __add__(self, other):
+        return add(self, _coerce(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return sub(self, _coerce(other))
+
+    def __rsub__(self, other):
+        return sub(_coerce(other), self)
+
+    def __mul__(self, other):
+        return mul(self, _coerce(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return div_exact(self, _coerce(other))
+
+    def __lt__(self, other):
+        return _cmp_gross(self, _coerce(other)) < 0
+
+    def __le__(self, other):
+        return _cmp_gross(self, _coerce(other)) <= 0
+
+    def __gt__(self, other):
+        return _cmp_gross(self, _coerce(other)) > 0
+
+    def __ge__(self, other):
+        return _cmp_gross(self, _coerce(other)) >= 0
+
+    def __str__(self):
+        return render_gross(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{render_gross(self)}>"
+
+
+@dataclass(frozen=True, repr=False)
+class GrossPoly(_Arithmetic):
     """Canonical finite sum of rational multiples of powers of G.
 
     ``terms`` is a tuple of ``(coefficient, exponent)`` pairs ordered by
@@ -102,9 +148,6 @@ class GrossPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading(self) -> Optional[Tuple[Fraction, "GrossPoly"]]:
-        return self.terms[0] if self.terms else None
-
     def constant_term(self) -> Fraction:
         for coeff, exp in self.terms:
             if exp.is_zero:
@@ -125,37 +168,22 @@ class GrossPoly:
             return int(r)
         return None
 
-    # operators (thin wrappers over the module-level functions)
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
+    # operators beyond those of _Arithmetic
 
     def __neg__(self):
         return _pneg(self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div_exact(self, _coerce(other))
 
     def __rtruediv__(self, other):
         return div_exact(_coerce(other), self)
 
     def __pow__(self, other):
-        if isinstance(other, int):
-            return _ppow(self, other)
-        return NotImplemented
+        if not isinstance(other, int):
+            return NotImplemented
+        # a negative power inverts the positive one, also for the multi-term
+        # bases whose negative powers the language's ^ refuses
+        if other < 0:
+            return div_exact(ONE, power(self, -other))
+        return power(self, other)
 
     def __eq__(self, other):
         other = _try_coerce(other)
@@ -168,26 +196,8 @@ class GrossPoly:
     def __hash__(self):
         return hash(self.terms)
 
-    def __lt__(self, other):
-        return _cmp_gross(self, _coerce(other)) < 0
-
-    def __le__(self, other):
-        return _cmp_gross(self, _coerce(other)) <= 0
-
-    def __gt__(self, other):
-        return _cmp_gross(self, _coerce(other)) > 0
-
-    def __ge__(self, other):
-        return _cmp_gross(self, _coerce(other)) >= 0
-
     def __bool__(self):
         return bool(self.terms)
-
-    def __str__(self):
-        return render_gross(self)
-
-    def __repr__(self):
-        return f"GrossPoly<{render_gross(self)}>"
 
 
 def _depth(p: GrossPoly) -> int:
@@ -293,15 +303,6 @@ def _pmul(x: GrossPoly, y: GrossPoly) -> GrossPoly:
     return _canon(acc)
 
 
-def _ppow(x: GrossPoly, n: int) -> GrossPoly:
-    if n < 0:
-        return div_exact(ONE, _ppow(x, -n))
-    result = ONE
-    for _ in range(n):
-        result = _pmul(result, x)
-    return result
-
-
 @dataclass(frozen=True)
 class CritRef:
     """Symbolic critical digit length: floor(log_base(target)) + offset.
@@ -320,9 +321,6 @@ class CritRef:
         if classify(self.target) is not Classification.INFINITE_POSITIVE:
             raise NotInfinite("critical digit lengths require an infinite positive target")
 
-    def shifted(self, delta: int) -> "CritRef":
-        return CritRef(self.base, self.target, self.offset + delta)
-
     def __repr__(self):
         return f"CritRef<{render_critref(self)}>"
 
@@ -330,8 +328,8 @@ class CritRef:
 ExpExponent = Union[GrossPoly, CritRef]
 
 
-@dataclass(frozen=True)
-class ExpCount:
+@dataclass(frozen=True, repr=False)
+class ExpCount(_Arithmetic):
     """An exponential count ``multiplier * base^exponent + tail``.
 
     The multiplier is a positive rational, the base a finite integer >= 2 and
@@ -365,27 +363,6 @@ class ExpCount:
         else:
             raise TypeError(f"bad exponent {self.exponent!r}")
 
-    # operators
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div_exact(self, _coerce(other))
-
     def __eq__(self, other):
         other = _try_coerce(other)
         if isinstance(other, ExpCount):
@@ -401,24 +378,6 @@ class ExpCount:
 
     def __hash__(self):
         return hash((self.multiplier, self.base, self.exponent, self.tail))
-
-    def __lt__(self, other):
-        return _cmp_gross(self, _coerce(other)) < 0
-
-    def __le__(self, other):
-        return _cmp_gross(self, _coerce(other)) <= 0
-
-    def __gt__(self, other):
-        return _cmp_gross(self, _coerce(other)) > 0
-
-    def __ge__(self, other):
-        return _cmp_gross(self, _coerce(other)) >= 0
-
-    def __str__(self):
-        return render_gross(self)
-
-    def __repr__(self):
-        return f"ExpCount<{render_gross(self)}>"
 
 
 GrossNumber = Union[GrossPoly, ExpCount]
@@ -461,13 +420,6 @@ def classify(x: GrossNumber) -> Classification:
             Classification.FINITE_POSITIVE if coeff > 0 else Classification.FINITE_NEGATIVE
         )
     return Classification.INFINITESIMAL
-
-
-def is_infinite(x: GrossNumber) -> bool:
-    return classify(x) in (
-        Classification.INFINITE_POSITIVE,
-        Classification.INFINITE_NEGATIVE,
-    )
 
 
 # addition and subtraction
@@ -648,12 +600,56 @@ def pow_count(base: int, k) -> GrossNumber:
         n = k.as_int()
         if n is None:
             raise NonIntegerExponent("finite exponents of counts must be integers")
-        if n * base.bit_length() > MATERIALIZE_BIT_CAP:
-            raise ExponentTooLarge(f"{base}^{n} will not be materialized")
-        return fin(Fraction(base) ** n)
+        return power(fin(base), n)
     if cls is Classification.INFINITESIMAL:
         raise NonIntegerExponent("infinitesimal exponents do not yield counts")
     return ExpCount(Fraction(1), base, k)
+
+
+def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
+    """x^k, the one power routine behind the language's ``^`` and ``**``.
+
+    A rational base takes an integer exponent, materialized exactly under
+    MATERIALIZE_BIT_CAP, or an infinite one, which yields 0, 1 or the count
+    ``b^k`` of an integer base b >= 2.  A pure power of G takes any exponent,
+    since exponents multiply.  Any other base takes finite non-negative
+    integer exponents, unrolled into at most _POW_UNROLL_LIMIT products.
+    """
+    k = _coerce(k)
+    # a pure power of G (a nonzero exponent is truthy): exponents multiply
+    if isinstance(x, GrossPoly) and len(x.terms) == 1 and x.terms[0][0] == 1 and x.terms[0][1]:
+        return gterm(1, mul(x.terms[0][1], k))
+    r = x.as_rational() if isinstance(x, GrossPoly) else None
+    finite = isinstance(k, GrossPoly) and k.as_rational() is not None
+    if r is not None and not finite:
+        if r == 1:
+            return ONE
+        if r == 0:
+            return ZERO
+        if r.denominator == 1 and r >= 2:
+            return pow_count(int(r), k)
+        raise UnsupportedPower(
+            f"{render_gross(x)} has no closed power for an infinite exponent"
+        )
+    n = k.as_int() if finite else None
+    if r is not None:
+        if n is None:
+            raise NonIntegerExponent("finite exponents must be integers")
+        if r == 0 and n < 0:
+            raise DivisionByZero("0 cannot be raised to a negative power")
+        if max(abs(r.numerator), r.denominator).bit_length() * abs(n) > MATERIALIZE_BIT_CAP:
+            raise ExponentTooLarge(f"{r}^{n} will not be materialized")
+        return fin(r ** n)
+    if n is None or n < 0:
+        raise UnsupportedPower(
+            f"{render_gross(x)} only takes finite non-negative integer powers"
+        )
+    if n > _POW_UNROLL_LIMIT:
+        raise ExponentTooLarge(f"power {n} of {render_gross(x)} will not be unrolled")
+    out = ONE
+    for _ in range(n):
+        out = mul(out, x)
+    return out
 
 
 # comparison
@@ -753,7 +749,7 @@ def _cmp_same_base(x: ExpCount, y: ExpCount) -> int:
     if cls is Classification.INFINITE_NEGATIVE:
         return -1
     const = diff.constant_term()
-    s = _cmp_power_vs_const(x.multiplier, x.base, const, y.multiplier)
+    s = _cmp_scaled_power(x.multiplier, x.base, const, y.multiplier, 1)
     if s:
         return s
     eps = _psub(diff, fin(const))
@@ -761,17 +757,6 @@ def _cmp_same_base(x: ExpCount, y: ExpCount) -> int:
         # b^eps is 1 plus an (in)finitesimal of the sign of eps
         return _sign(eps.terms[0][0])
     return _cmp_poly(x.tail, y.tail)
-
-
-def _cmp_power_vs_const(r1: Fraction, b: int, f: Fraction, r2: Fraction) -> int:
-    """Sign of r1*b^f - r2 for an exact rational f; exact via integer powers."""
-    q = f.denominator
-    p = f.numerator
-    if abs(p) * b.bit_length() > _POWER_BIT_GUARD:
-        raise ExponentTooLarge("cross-power comparison exceeds the size guard")
-    lhs = Fraction(r1) ** q * Fraction(b) ** p
-    rhs = Fraction(r2) ** q
-    return _sign(lhs - rhs)
 
 
 def _cmp_scaled_power(r1: Fraction, b1: int, f: Fraction, r2: Fraction, b2: int) -> int:

@@ -39,7 +39,7 @@ from .setmeasure import (
     ProgressionE,
     SetExpr,
     SetOp,
-    SignedExprE,
+    SignedSet,
     UniverseNE,
 )
 
@@ -133,11 +133,8 @@ class SubstReport:
         )
 
 
-def brute_count(expr: Union[SetExpr, SignedExprE], L: int) -> int:
+def brute_count(expr: Union[SetExpr, SignedSet], L: int) -> int:
     """Count members extensionally: {1..L} for natural sets, {-L..L} signed."""
-    if isinstance(expr, SignedExprE):
-        total = len(expr.negatives.enumerate_upto(L)) + len(expr.positives.enumerate_upto(L))
-        return total + (1 if expr.has_zero else 0)
     return len(expr.enumerate_upto(L))
 
 
@@ -146,7 +143,7 @@ def _exception_ceiling(subset) -> int:
     return max(pts) if pts else 0
 
 
-def check_card(expr: Union[SetExpr, SignedExprE], L: int) -> SubstReport:
+def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
     """Compare the symbolic count of expr against brute enumeration at L.
 
     L must be divisible by the canonical modulus and larger than ten times
@@ -154,22 +151,16 @@ def check_card(expr: Union[SetExpr, SignedExprE], L: int) -> SubstReport:
     a whole number of times and corrections sit well inside the range.
     """
     built = expr.build()
-    if isinstance(expr, SignedExprE):
-        moduli = (built.negatives.modulus, built.positives.modulus)
-        ceiling = max(_exception_ceiling(built.negatives), _exception_ceiling(built.positives))
-        symbolic = built.card()
-    else:
-        moduli = (built.modulus,)
-        ceiling = _exception_ceiling(built)
-        symbolic = built.card()
-    for m in moduli:
-        if L % m != 0:
-            raise InvalidL(f"L={L} is not divisible by the canonical modulus {m}")
+    parts = (built.negatives, built.positives) if isinstance(built, SignedSet) else (built,)
+    for part in parts:
+        if L % part.modulus != 0:
+            raise InvalidL(f"L={L} is not divisible by the canonical modulus {part.modulus}")
+    ceiling = max(_exception_ceiling(part) for part in parts)
     if L <= 10 * ceiling:
         raise InvalidL(f"L={L} is not beyond 10x the largest exception {ceiling}")
-    sym_val = subst(symbolic, L)
+    sym_val = subst(built.card(), L)
     brute = Fraction(brute_count(expr, L))
-    return SubstReport(expr.to_text(), L, sym_val, brute, sym_val == brute)
+    return SubstReport(str(expr), L, sym_val, brute, sym_val == brute)
 
 
 def check_order(x: GrossNumber, y: GrossNumber, Ls: Sequence[int]) -> SubstReport:

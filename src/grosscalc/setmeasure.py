@@ -3,9 +3,7 @@
 A ``NatSubset`` is a finite union of arithmetic progressions (residue classes
 modulo d) corrected by finitely many added and removed elements.  Its count
 follows from one axiom: the class of r modulo d contains exactly G/d of the
-first G naturals, for every finite d.  ``SignedSet`` extends the picture to
-{-G..G} with an explicit zero flag, which is also how one extra element
-outside the naturals is counted (the G + 1 construction).
+first G naturals, for every finite d.
 
 The module keeps two independent routes to every set:
 
@@ -13,7 +11,13 @@ The module keeps two independent routes to every set:
 * ``SetExpr`` trees that remember how a set was built and can enumerate it
   extensionally, with no reference to the residue algebra.
 
-The oracle compares the two routes; they are never collapsed into one.
+``SignedSet`` extends both routes to {-G..G}: one container, generic over its
+part, holds mirrored negatives, an explicit zero flag and positives, where
+both parts are records or both are trees.  The zero flag is also how one
+extra element outside the naturals is counted (the G + 1 construction).
+Only the container and its zero-flag rule are shared; each operation on the
+parts comes from the parts' own route.  The oracle compares the two routes;
+they are never collapsed into one.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, Iterator, Tuple, Union
 
 from . import gnum
-from .errors import EvalError
+from .errors import EvalError, RepresentationLimit
 from .gnum import GROSSONE, GrossNumber, GrossPoly, ZERO, fin, gterm
 
 
@@ -34,6 +38,14 @@ class SetOp(Enum):
     UNION = "union"
     INTERSECT = "intersect"
     DIFFERENCE = "difference"
+
+
+# membership of x in s op t, from membership in s and in t
+_MEMBERSHIP = {
+    SetOp.UNION: lambda a, b: a or b,
+    SetOp.INTERSECT: lambda a, b: a and b,
+    SetOp.DIFFERENCE: lambda a, b: a and not b,
+}
 
 
 def _check_positive_elements(elems: Iterable[int], what: str) -> FrozenSet[int]:
@@ -67,13 +79,6 @@ class NatSubset:
         if x in self.removed:
             return False
         return (x % self.modulus) in self.residues
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.residues
-
-    def members(self, n: int) -> Tuple[int, ...]:
-        return members(self, n)
 
     def card(self) -> GrossPoly:
         return card(self)
@@ -139,12 +144,7 @@ def progression(first: int, step: int) -> NatSubset:
 def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:
     """Union, intersection or difference, recanonicalized."""
     lift = math.lcm(s.modulus, t.modulus)
-    if op is SetOp.UNION:
-        fn = lambda a, b: a or b
-    elif op is SetOp.INTERSECT:
-        fn = lambda a, b: a and b
-    else:
-        fn = lambda a, b: a and not b
+    fn = _MEMBERSHIP[op]
     residues = frozenset(
         r
         for r in range(lift)
@@ -183,6 +183,8 @@ def members(s: NatSubset, n: int) -> Tuple[int, ...]:
     """The n smallest members, ascending; fewer if the set runs out."""
     if n <= 0:
         return ()
+    if n > 10**6:
+        raise RepresentationLimit(f"will not list {n} members")
 
     def class_stream(r: int) -> Iterator[int]:
         start = r if r >= 1 else s.modulus
@@ -196,62 +198,6 @@ def members(s: NatSubset, n: int) -> Tuple[int, ...]:
     merged = heapq.merge(*streams)
     picked = (x for x in merged if x not in s.removed)
     return tuple(itertools.islice(picked, n))
-
-
-@dataclass(frozen=True)
-class SignedSet:
-    """A subset of {-G..G}: mirrored negatives, a zero flag, positives."""
-
-    negatives: NatSubset
-    has_zero: bool
-    positives: NatSubset
-
-    def contains(self, x: int) -> bool:
-        if x == 0:
-            return self.has_zero
-        if x > 0:
-            return self.positives.contains(x)
-        return self.negatives.contains(-x)
-
-    def card(self) -> GrossPoly:
-        return card_signed(self)
-
-    def __str__(self):
-        return render_signed(self)
-
-    def __repr__(self):
-        return f"SignedSet<{render_signed(self)}>"
-
-
-EMPTY_SIGNED = SignedSet(EMPTY, False, EMPTY)
-INTEGERS = SignedSet(NATURALS, True, NATURALS)
-
-
-def lift_signed(s: NatSubset) -> SignedSet:
-    return SignedSet(EMPTY, False, s)
-
-
-def card_signed(s: SignedSet) -> GrossPoly:
-    total = gnum.add(card(s.negatives), card(s.positives))
-    if s.has_zero:
-        total = gnum.add(total, gnum.ONE)
-    return total
-
-
-def combine_signed(op: SetOp, s: SignedSet, t: SignedSet) -> SignedSet:
-    if op is SetOp.UNION:
-        zero = s.has_zero or t.has_zero
-    elif op is SetOp.INTERSECT:
-        zero = s.has_zero and t.has_zero
-    else:
-        zero = s.has_zero and not t.has_zero
-    return SignedSet(
-        combine(op, s.negatives, t.negatives), zero, combine(op, s.positives, t.positives)
-    )
-
-
-def complement_signed(s: SignedSet) -> SignedSet:
-    return SignedSet(complement(s.negatives), not s.has_zero, complement(s.positives))
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +331,24 @@ class ComplementE(SetExpr):
 EMPTY_E = FiniteSetE(frozenset())
 
 
-@dataclass(frozen=True)
-class SignedExprE:
-    """Signed counterpart: mirrored negative part, zero flag, positive part."""
+# ---------------------------------------------------------------------------
+# Signed sets: one container for both routes, see the module docstring.
+# ---------------------------------------------------------------------------
 
-    negatives: SetExpr
+Part = Union[NatSubset, SetExpr]
+
+
+@dataclass(frozen=True)
+class SignedSet:
+    """A subset of {-G..G}: mirrored negatives, a zero flag, positives.
+
+    ``card`` needs record parts; ``build`` and ``enumerate_upto`` need tree
+    parts.
+    """
+
+    negatives: Part
     has_zero: bool
-    positives: SetExpr
+    positives: Part
 
     def contains(self, x: int) -> bool:
         if x == 0:
@@ -400,41 +357,75 @@ class SignedExprE:
             return self.positives.contains(x)
         return self.negatives.contains(-x)
 
-    def build(self) -> SignedSet:
+    def card(self) -> GrossPoly:
+        return card_signed(self)
+
+    def build(self) -> "SignedSet":
         return SignedSet(self.negatives.build(), self.has_zero, self.positives.build())
 
-    def to_text(self):
-        parts = []
-        if self.negatives != EMPTY_E:
-            parts.append(f"mirror({self.negatives.to_text()})")
+    def enumerate_upto(self, limit: int) -> set:
+        """The extension within {-limit..limit}, computed without the algebra."""
+        out = {-x for x in self.negatives.enumerate_upto(limit)}
+        out |= self.positives.enumerate_upto(limit)
         if self.has_zero:
-            parts.append("{0}")
-        if self.positives != EMPTY_E:
-            parts.append(self.positives.to_text())
-        return " | ".join(parts) if parts else "{}"
+            out.add(0)
+        return out
+
+    def __str__(self):
+        return render_signed(self)
+
+    def __repr__(self):
+        return f"SignedSet<{render_signed(self)}>"
 
 
-UNIVERSE_Z_E = SignedExprE(UniverseNE(), True, UniverseNE())
+def _route(part: Part):
+    """(combine, complement, empty part) on the route the part belongs to."""
+    if isinstance(part, NatSubset):
+        return combine, complement, EMPTY
+    return CombineE, ComplementE, EMPTY_E
 
 
-def lift_signed_expr(e: SetExpr) -> SignedExprE:
-    return SignedExprE(EMPTY_E, False, e)
+EMPTY_SIGNED = SignedSet(EMPTY, False, EMPTY)
+INTEGERS = SignedSet(NATURALS, True, NATURALS)
+UNIVERSE_Z_E = SignedSet(UniverseNE(), True, UniverseNE())
 
 
-def combine_signed_expr(op: SetOp, s: SignedExprE, t: SignedExprE) -> SignedExprE:
-    if op is SetOp.UNION:
-        zero = s.has_zero or t.has_zero
-    elif op is SetOp.INTERSECT:
-        zero = s.has_zero and t.has_zero
-    else:
-        zero = s.has_zero and not t.has_zero
-    return SignedExprE(
-        CombineE(op, s.negatives, t.negatives), zero, CombineE(op, s.positives, t.positives)
+def lift_signed(part: Part) -> SignedSet:
+    """The subset of N as a subset of Z."""
+    _, _, empty = _route(part)
+    return SignedSet(empty, False, part)
+
+
+def mirror_signed(part: Part) -> SignedSet:
+    """{-x : x in part}."""
+    _, _, empty = _route(part)
+    return SignedSet(part, False, empty)
+
+
+def card_signed(s: SignedSet) -> GrossPoly:
+    total = gnum.add(card(s.negatives), card(s.positives))
+    if s.has_zero:
+        total = gnum.add(total, gnum.ONE)
+    return total
+
+
+def combine_signed(op: SetOp, s: SignedSet, t: SignedSet) -> SignedSet:
+    join, _, _ = _route(s.positives)
+    return SignedSet(
+        join(op, s.negatives, t.negatives),
+        _MEMBERSHIP[op](s.has_zero, t.has_zero),
+        join(op, s.positives, t.positives),
     )
 
 
-def complement_signed_expr(s: SignedExprE) -> SignedExprE:
-    return SignedExprE(ComplementE(s.negatives), not s.has_zero, ComplementE(s.positives))
+def complement_signed(s: SignedSet) -> SignedSet:
+    _, flip, _ = _route(s.positives)
+    return SignedSet(flip(s.negatives), not s.has_zero, flip(s.positives))
+
+
+# aliases that keep existing imports of the tree-route names working
+SignedExprE = SignedSet
+lift_signed_expr = lift_signed
 
 
 # rendering back to expression-language text
@@ -460,13 +451,15 @@ def render_nat(s: NatSubset) -> str:
 
 
 def render_signed(s: SignedSet) -> str:
+    """Either route: records render canonically, trees as they were built."""
     if s == INTEGERS:
         return "Z"
+    _, _, empty = _route(s.positives)
     parts = []
-    if s.negatives != EMPTY:
-        parts.append(f"mirror({render_nat(s.negatives)})")
+    if s.negatives != empty:
+        parts.append(f"mirror({s.negatives})")
     if s.has_zero:
         parts.append("{0}")
-    if s.positives != EMPTY:
-        parts.append(render_nat(s.positives))
+    if s.positives != empty:
+        parts.append(str(s.positives))
     return " | ".join(parts) if parts else "{}"
