@@ -618,7 +618,12 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     k = _coerce(k)
     # a pure power of G (a nonzero exponent is truthy): exponents multiply
     if isinstance(x, GrossPoly) and len(x.terms) == 1 and x.terms[0][0] == 1 and x.terms[0][1]:
-        return gterm(1, mul(x.terms[0][1], k))
+        exponent = mul(x.terms[0][1], k)
+        if not isinstance(exponent, GrossPoly):
+            raise UnsupportedPower(
+                f"power {render_gross(k)} of {render_gross(x)} leaves the gross polynomials"
+            )
+        return gterm(1, exponent)
     r = x.as_rational() if isinstance(x, GrossPoly) else None
     finite = isinstance(k, GrossPoly) and k.as_rational() is not None
     if r is not None and not finite:

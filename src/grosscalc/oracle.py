@@ -150,7 +150,11 @@ def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
     the largest exceptional element, so that every residue class is sampled
     a whole number of times and corrections sit well inside the range.
     """
-    built = expr.build()
+    return _check_built(expr, expr.build(), L)
+
+
+def _check_built(expr: Union[SetExpr, SignedSet], built, L: int) -> SubstReport:
+    """check_card with the record of expr already built."""
     parts = (built.negatives, built.positives) if isinstance(built, SignedSet) else (built,)
     for part in parts:
         if L % part.modulus != 0:
@@ -216,7 +220,11 @@ def _expr_moduli(expr: SetExpr) -> list:
 
 def admissible_points(expr: SetExpr, multipliers: Sequence[int] = (1, 2, 3)) -> Tuple[int, ...]:
     """Substitution points valid for check_card on this expression."""
-    built = expr.build()
+    return _points_for(expr, expr.build(), multipliers)
+
+
+def _points_for(expr: SetExpr, built, multipliers: Sequence[int] = (1, 2, 3)) -> Tuple[int, ...]:
+    """admissible_points with the record of expr already built."""
     lcm = math.lcm(built.modulus, *(_expr_moduli(expr) or [1]))
     ceiling = _exception_ceiling(built)
     floor = max(2, 10 * ceiling + 1)
@@ -231,8 +239,9 @@ def sweep(seed: int, cases: int) -> Tuple[int, list]:
     failures = 0
     for _ in range(cases):
         expr = random_set_expr(rng)
-        for L in admissible_points(expr):
-            report = check_card(expr, L)
+        built = expr.build()
+        for L in _points_for(expr, built):
+            report = _check_built(expr, built, L)
             reports.append(report)
             if not report.match:
                 failures += 1

@@ -18,6 +18,14 @@ extra element outside the naturals is counted (the G + 1 construction).
 Only the container and its zero-flag rule are shared; each operation on the
 parts comes from the parts' own route.  The oracle compares the two routes;
 they are never collapsed into one.
+
+Record operations cost what their residue classes cost, not the lcm of the
+moduli: intersections pair classes by the Chinese remainder theorem, unions
+and differences lift classes to the lcm, and the minimal period is found by
+stripping primes of gcd(modulus, |residues|).  Any record that would hold
+more than MAX_RESIDUES residue classes, and any progression that would skip
+more than MAX_RESIDUES elements below its start, raises RepresentationLimit
+before it is built.
 """
 from __future__ import annotations
 
@@ -90,10 +98,26 @@ class NatSubset:
         return f"NatSubset<{render_nat(self)}>"
 
 
-def _divisors(d: int):
-    for k in range(1, d + 1):
-        if d % k == 0:
-            yield k
+# Cap on the residue classes (and skipped elements) one record may hold.
+MAX_RESIDUES = 10 ** 6
+
+
+def _guard_size(n: int, what: str) -> None:
+    if n > MAX_RESIDUES:
+        raise RepresentationLimit(f"{what}: {n} exceeds the cap of {MAX_RESIDUES}")
+
+
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes of n >= 1, by trial division."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n
 
 
 def nat_subset(modulus: int, residues, added=(), removed=()) -> NatSubset:
@@ -101,7 +125,9 @@ def nat_subset(modulus: int, residues, added=(), removed=()) -> NatSubset:
 
     Membership is: x in added, or (x mod modulus in residues and x not in
     removed).  Exceptions listed on the wrong side of the classes are folded
-    away and the modulus is reduced to the minimal period.
+    away and the modulus is reduced to the minimal period.  Costs
+    O(|residues| log |residues| + |added| + |removed|) plus a trial division
+    of gcd(modulus, |residues|); never O(modulus).
     """
     if not isinstance(modulus, int) or modulus < 1:
         raise EvalError(f"modulus must be a positive integer, got {modulus!r}")
@@ -110,12 +136,26 @@ def nat_subset(modulus: int, residues, added=(), removed=()) -> NatSubset:
     removed = _check_positive_elements(removed, "removed elements")
     if added & removed:
         raise EvalError("an element cannot be both added and removed")
-    # minimal period of the residue pattern
-    for d in _divisors(modulus):
-        folded = {r % d for r in residues}
-        if all(((r % d) in folded) == (r in residues) for r in range(modulus)):
-            modulus, residues = d, frozenset(folded)
-            break
+    return _canonical(modulus, residues, added, removed)
+
+
+def _canonical(modulus: int, residues: FrozenSet[int], added, removed) -> NatSubset:
+    """nat_subset on checked input: residues in range(modulus), exceptions
+    positive and disjoint."""
+    # A period d divides the modulus, and each class mod d holds modulus/d of
+    # the residues, so modulus/d divides gcd(modulus, |residues|).  Periods
+    # are closed under gcd, so stripping each prime of that gcd while the
+    # smaller value is still a period ends at the unique minimal period.
+    n = len(residues)
+    period = 1 if n in (0, modulus) else modulus
+    if period > 1:
+        for p in _prime_factors(math.gcd(modulus, n)):
+            while period % p == 0 and all(
+                (r + period // p) % modulus in residues for r in residues
+            ):
+                period //= p
+    if period < modulus:
+        modulus, residues = period, frozenset(r % period for r in residues)
     added = frozenset(a for a in added if (a % modulus) not in residues)
     removed = frozenset(r for r in removed if (r % modulus) in residues)
     return NatSubset(modulus, residues, added, removed)
@@ -138,18 +178,37 @@ def progression(first: int, step: int) -> NatSubset:
     r = first % step
     start = r if r >= 1 else step
     holes = range(start, first, step)
-    return nat_subset(step, (r,), removed=holes)
+    _guard_size(len(holes), f"elements ap({first}, {step}) skips below its start")
+    # one residue has no shorter period, and every hole lies in its class
+    return NatSubset(step, frozenset((r,)), frozenset(), frozenset(holes))
 
 
 def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:
-    """Union, intersection or difference, recanonicalized."""
-    lift = math.lcm(s.modulus, t.modulus)
+    """Union, intersection or difference, recanonicalized.
+
+    Both operands are lifted to the lcm of their moduli without walking it:
+    an intersection pairs up compatible classes by the Chinese remainder
+    theorem, in O(|Rs| + |Rt| + output); a union or difference lifts each
+    class r mod m to r, r + m, ... below the lcm, in O(lifted classes).
+    Exceptions cost O(|exceptions|).  A result that would hold more than
+    MAX_RESIDUES classes before canonicalization raises RepresentationLimit.
+    """
+    ms, mt = s.modulus, t.modulus
+    lift = math.lcm(ms, mt)
+    if op is SetOp.INTERSECT:
+        residues = _crt_intersect(s, t, lift)
+    elif op is SetOp.UNION:
+        _guard_size(
+            len(s.residues) * (lift // ms) + len(t.residues) * (lift // mt),
+            f"residue classes of the union at modulus {lift}",
+        )
+        residues = frozenset(_lift(s.residues, ms, lift) | _lift(t.residues, mt, lift))
+    else:
+        _guard_size(
+            len(s.residues) * (lift // ms), f"residue classes of the difference at modulus {lift}"
+        )
+        residues = frozenset(x for x in _lift(s.residues, ms, lift) if x % mt not in t.residues)
     fn = _MEMBERSHIP[op]
-    residues = frozenset(
-        r
-        for r in range(lift)
-        if fn((r % s.modulus) in s.residues, (r % t.modulus) in t.residues)
-    )
     added, removed = [], []
     for x in s.added | s.removed | t.added | t.removed:
         is_in = fn(s.contains(x), t.contains(x))
@@ -158,13 +217,41 @@ def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:
             added.append(x)
         elif not is_in and in_classes:
             removed.append(x)
-    return nat_subset(lift, residues, added, removed)
+    return _canonical(lift, residues, added, removed)
+
+
+def _lift(residues: FrozenSet[int], modulus: int, lift: int) -> set:
+    """The classes r mod modulus as classes mod lift (a multiple of it)."""
+    return set().union(*(range(r, lift, modulus) for r in residues))
+
+
+def _crt_intersect(s: NatSubset, t: NatSubset, lift: int) -> FrozenSet[int]:
+    """The classes mod lift in both s and t, one CRT step per compatible pair."""
+    ms, mt = s.modulus, t.modulus
+    g = math.gcd(ms, mt)
+    by_class = {}
+    for b in t.residues:
+        by_class.setdefault(b % g, []).append(b)
+    size = sum(len(by_class.get(a % g, ())) for a in s.residues)
+    _guard_size(size, f"residue classes of the intersection at modulus {lift}")
+    # x = a + ms*k with ms*k = b - a (mod mt), i.e. k = (b - a)/g * inv mod mt/g
+    step = mt // g
+    inv = pow(ms // g, -1, step)
+    return frozenset(
+        a + ms * ((b - a) // g * inv % step)
+        for a in s.residues
+        for b in by_class.get(a % g, ())
+    )
 
 
 def complement(s: NatSubset) -> NatSubset:
-    """The complement within the naturals {1..G}."""
+    """The complement within the naturals {1..G}: it keeps the period of s
+    and swaps its exceptions, in O(modulus)."""
+    _guard_size(
+        s.modulus - len(s.residues), f"residue classes of the complement at modulus {s.modulus}"
+    )
     residues = frozenset(range(s.modulus)) - s.residues
-    return nat_subset(s.modulus, residues, added=s.removed, removed=s.added)
+    return NatSubset(s.modulus, residues, s.removed, s.added)
 
 
 def card(s: NatSubset) -> GrossPoly:
