@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 evaluation error, 2 syntax error.  In JSON mode
 errors are emitted as values so downstream tooling can tell an honest
-refusal (Undetermined, UnsupportedSum) from a wrong answer.
+refusal (Undetermined, UnsupportedSum) from a wrong answer.  Any other
+exception is reported as kind InternalError, exit 1.
 """
 
 import argparse
@@ -50,28 +51,35 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
 
+def _fail(json_mode: bool, kind: str, detail: str, text: str, code: int) -> int:
+    if json_mode:
+        _emit_json({"error": {"kind": kind, "detail": detail}})
+    else:
+        print(text, file=sys.stderr)
+    return code
+
+
 def run_line(line: str, env, json_mode: bool, point: Optional[int]) -> int:
+    """Parse, evaluate and print one line: one value or one error, never an
+    escaping exception."""
     try:
         ast = gclang.parse(line)
-    except ParseError as err:
-        if json_mode:
-            _emit_json({"error": {"kind": "ParseError", "detail": str(err)}})
-        else:
-            print(f"syntax error: {err}", file=sys.stderr)
-        return EXIT_SYNTAX
-    try:
+        # a let rebinds its name in env; the oracle reads the names as the
+        # statement saw them
+        before = dict(env) if point is not None else None
         value = gclang.evaluate(ast, env)
+        rendered = gclang.render_value(value)
+        oracle_line = ok = None
+        if point is not None:
+            oracle_line, ok = _oracle_text(ast, value, before, point)
+    except ParseError as err:
+        return _fail(json_mode, err.kind, str(err), f"syntax error: {err}", EXIT_SYNTAX)
     except GrossError as err:
-        if json_mode:
-            _emit_json({"error": {"kind": err.kind, "detail": str(err)}})
-        else:
-            print(f"error[{err.kind}]: {err}", file=sys.stderr)
-        return EXIT_EVAL
+        return _fail(json_mode, err.kind, str(err), f"error[{err.kind}]: {err}", EXIT_EVAL)
+    except Exception as err:
+        detail = f"{type(err).__name__}: {err}"
+        return _fail(json_mode, "InternalError", detail, f"error[InternalError]: {detail}", EXIT_EVAL)
 
-    rendered = gclang.render_value(value)
-    oracle_line = ok = None
-    if point is not None:
-        oracle_line, ok = _oracle_text(ast, value, env, point)
     if json_mode:
         payload = {"input": line, "value": rendered, "type": gclang.type_tag(value)}
         if oracle_line is not None:

@@ -1,19 +1,25 @@
 """The calculator's expression language: parser, evaluator, renderer.
 
-Grammar, loosest binding first:
+Grammar:
 
     stmt    := 'let' IDENT '=' expr | expr
-    expr    := union (CMP union)?              CMP: < <= == >= >
-    union   := inter (('|' | '\\') inter)*
-    inter   := sum ('&' sum)*
-    sum     := product (('+' | '-') product)*
-    product := prefix (('*' | '/') prefix)*
+    expr    := binary (CMP binary)?            CMP: < <= == >= >
+    binary  := prefix (BINOP prefix)*          by binding power, below
     prefix  := ('-' | '~') prefix | power
     power   := atom ('^' prefix)?
-    atom    := INT | '(' expr ')' | '{' [expr (',' expr)*] '}'
-             | IDENT '(' args ')' fields? | IDENT
+    atom    := INT | '(' expr ')' | '{' items '}'
+             | IDENT '(' items ')' fields? | IDENT
+    items   := [expr (',' expr)*]
+
+Binary operators by binding power, loosest first; each power is one
+left-associative level, and `^` (right-associative) binds tighter than all:
+
+    1  |  \\        2  &        3  +  -        4  *  /
 
 Comparisons do not chain.  The glyph `①` reads as the identifier `G`.
+An input may nest at most 100 levels deep, counting brackets, call
+arguments, unary operators and exponents; a deeper one is a ParseError,
+not a recursion.  A long chain such as 1 - 1 - ... - 1 nests one level.
 The `fields` block is a brace-suffixed record accepted only by `num`,
 carrying digit strings: num(10, G){head: "", tail: "1", sign: "-"}.
 
@@ -211,12 +217,17 @@ def _tokenize(text: str):
 # parser
 
 _COMPARATORS = ("<", "<=", "==", ">=", ">")
+# binding power of each binary operator; '^' binds tighter still, see power
+_BINDING = {"|": 1, "\\": 1, "&": 2, "+": 3, "-": 3, "*": 4, "/": 4}
+# nesting levels one input may open; deeper inputs are refused, not recursed
+_MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -261,49 +272,48 @@ class _Parser:
         return node
 
     def expr(self) -> Ast:
-        left = self.union()
+        left = self.binary()
         if self.at_op(*_COMPARATORS):
             op = self.advance().text
-            right = self.union()
+            right = self.binary()
             t = self.peek()
             if t.kind == "OP" and t.text in _COMPARATORS:
                 raise ParseError("comparisons do not chain", t.line, t.col, "end of input")
             return Cmp(op, left, right)
         return left
 
-    def union(self) -> Ast:
-        node = self.inter()
-        while self.at_op("|", "\\"):
-            op = self.advance().text
-            node = Bin(op, node, self.inter())
-        return node
-
-    def inter(self) -> Ast:
-        node = self.sum()
-        while self.at_op("&"):
-            self.advance()
-            node = Bin("&", node, self.sum())
-        return node
-
-    def sum(self) -> Ast:
-        node = self.product()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Bin(op, node, self.product())
-        return node
-
-    def product(self) -> Ast:
+    def binary(self) -> Ast:
+        """Operands joined by binary operators, grouped by binding power, each
+        power left-associative.  Pending operators wait on a stack, so mixing
+        powers costs no recursion."""
+        pending = []  # (power, operator, left operand), powers increasing
         node = self.prefix()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            node = Bin(op, node, self.prefix())
-        return node
+        while True:
+            t = self.peek()
+            power = _BINDING.get(t.text, 0) if t.kind == "OP" else 0
+            while pending and pending[-1][0] >= power:
+                _, op, left = pending.pop()
+                node = Bin(op, left, node)
+            if not power:
+                return node
+            self.advance()
+            pending.append((power, t.text, node))
+            node = self.prefix()
 
     def prefix(self) -> Ast:
-        if self.at_op("-", "~"):
-            op = self.advance().text
-            return Unary(op, self.prefix())
-        return self.power()
+        # every nesting level (brackets, call arguments, unary operators,
+        # exponents) enters here once, while a left-spine chain stays level
+        t = self.peek()
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", t.line, t.col)
+        self.depth += 1
+        if t.kind == "OP" and t.text in ("-", "~"):
+            self.advance()
+            node: Ast = Unary(t.text, self.prefix())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Ast:
         base = self.atom()
@@ -317,37 +327,30 @@ class _Parser:
         if t.kind == "INT":
             return Lit(int(t.text))
         if t.kind == "IDENT":
-            if self.at_op("("):
-                return self.call(t)
-            return Name(t.text)
+            if not self.at_op("("):
+                return Name(t.text)
+            self.advance()
+            args = self.items(")")
+            fields = self.field_block() if t.text == "num" and self.at_op("{") else ()
+            return Call(t.text, args, fields)
         if t.kind == "OP" and t.text == "(":
             node = self.expr()
             self.expect("OP", ")")
             return node
         if t.kind == "OP" and t.text == "{":
-            elems = []
-            if not self.at_op("}"):
-                elems.append(self.expr())
-                while self.at_op(","):
-                    self.advance()
-                    elems.append(self.expr())
-            self.expect("OP", "}")
-            return SetLit(tuple(elems))
+            return SetLit(self.items("}"))
         raise ParseError(f"unexpected {self.describe(t)}", t.line, t.col, "expression")
 
-    def call(self, name: _Tok) -> Ast:
-        self.expect("OP", "(")
-        args = []
-        if not self.at_op(")"):
-            args.append(self.expr())
+    def items(self, close: str) -> Tuple[Ast, ...]:
+        """Comma-separated expressions up to and including the close bracket."""
+        elems = []
+        if not self.at_op(close):
+            elems.append(self.expr())
             while self.at_op(","):
                 self.advance()
-                args.append(self.expr())
-        self.expect("OP", ")")
-        fields: Tuple[Tuple[str, str], ...] = ()
-        if name.text == "num" and self.at_op("{"):
-            fields = self.field_block()
-        return Call(name.text, tuple(args), fields)
+                elems.append(self.expr())
+        self.expect("OP", close)
+        return tuple(elems)
 
     def field_block(self):
         self.expect("OP", "{")
@@ -403,8 +406,6 @@ class SignedMeasured(_DualRoute):
 
 
 Value = object
-
-_SET_OPS = {"|": SetOp.UNION, "&": SetOp.INTERSECT, "\\": SetOp.DIFFERENCE}
 
 
 def default_env() -> Dict[str, Value]:
@@ -588,31 +589,9 @@ def _call_subst(x, point):
     return fin(oracle.subst(x, _want_int(point, "the substitution point", minimum=1)))
 
 
-_CALLS = {
-    "card": (1, _call_card),
-    "members": (2, _call_members),
-    "prodcard": (2, _call_prodcard),
-    "ap": (2, _call_ap),
-    "mirror": (1, _call_mirror),
-    "numerals": (2, _call_numerals),
-    "signedcount": (1, _call_signedcount),
-    "floatcount": (1, _call_floatcount),
-    "critical": (2, _call_critical),
-    "crit": (2, _call_crit),
-    "num": (2, None),  # handled inline: takes the field block
-    "succ": (1, _call_succ),
-    "pred": (1, _call_pred),
-    "first": (3, _call_first),
-    "observe": (2, _call_observe),
-    "wadd": (3, _call_wadd),
-    "distinct": (3, _call_distinct),
-    "subst": (2, _call_subst),
-}
-
-
-def _call_num(args, fields):
-    base = _want_int(args[0], "the numeral base", minimum=2)
-    length = _want_number(args[1], "the digit length")
+def _call_num(base, length, *fields):
+    base = _want_int(base, "the numeral base", minimum=2)
+    length = _want_number(length, "the digit length")
     head: Tuple[int, ...] = ()
     tail: Tuple[int, ...] = ()
     sign = ""
@@ -628,6 +607,29 @@ def _call_num(args, fields):
         else:
             raise EvalError(f"num has no field {key!r}")
     return posnum.numeral(base, length, head=head, tail=tail, sign=sign)
+
+
+# handlers take the evaluated arguments, then the call's field pairs
+_CALLS = {
+    "card": (1, _call_card),
+    "members": (2, _call_members),
+    "prodcard": (2, _call_prodcard),
+    "ap": (2, _call_ap),
+    "mirror": (1, _call_mirror),
+    "numerals": (2, _call_numerals),
+    "signedcount": (1, _call_signedcount),
+    "floatcount": (1, _call_floatcount),
+    "critical": (2, _call_critical),
+    "crit": (2, _call_crit),
+    "num": (2, _call_num),
+    "succ": (1, _call_succ),
+    "pred": (1, _call_pred),
+    "first": (3, _call_first),
+    "observe": (2, _call_observe),
+    "wadd": (3, _call_wadd),
+    "distinct": (3, _call_distinct),
+    "subst": (2, _call_subst),
+}
 
 
 # operator semantics
@@ -665,7 +667,7 @@ def _eval_setop(op, a, b):
     for side in (a, b):
         if not isinstance(side, _DualRoute):
             raise EvalError(f"{op} expects sets, got {type_tag(side)}")
-    op = _SET_OPS[op]
+    op = SetOp(op)
     if isinstance(a, MeasuredSet) and isinstance(b, MeasuredSet):
         return MeasuredSet(
             setmeasure.combine(op, a.record, b.record), CombineE(op, a.expr, b.expr)
@@ -764,10 +766,10 @@ def evaluate(ast: Ast, env: Dict[str, Value]) -> Value:
             b = evaluate(node.right, env)
             if node.op == "^":
                 acc = _eval_pow(acc, b)
-            elif node.op in _SET_OPS:
-                acc = _eval_setop(node.op, acc, b)
-            else:
+            elif node.op in ("+", "-", "*", "/"):
                 acc = _eval_arith(node.op, acc, b)
+            else:
+                acc = _eval_setop(node.op, acc, b)
         return acc
     if isinstance(ast, Cmp):
         return _eval_cmp(ast.op, evaluate(ast.left, env), evaluate(ast.right, env))
@@ -782,10 +784,7 @@ def evaluate(ast: Ast, env: Dict[str, Value]) -> Value:
                 f"{ast.func} takes {arity} argument{'s' if arity != 1 else ''}, "
                 f"got {len(ast.args)}"
             )
-        args = [evaluate(a, env) for a in ast.args]
-        if ast.func == "num":
-            return _call_num(args, ast.fields)
-        return handler(*args)
+        return handler(*[evaluate(a, env) for a in ast.args], *ast.fields)
     raise EvalError(f"unexpected syntax node {ast!r}")
 
 
@@ -800,7 +799,8 @@ def card_source(ast: Ast, env: Dict[str, Value]):
 
     For `card(S)` (also behind a let) this re-evaluates S and hands back
     its expression tree, so a finite-substitution check can count the set
-    extensionally instead of trusting the algebraic route.
+    extensionally instead of trusting the algebraic route.  env must bind
+    names as the statement saw them, before a let rebound its own name.
     """
     if isinstance(ast, Let):
         return card_source(ast.value, env)
@@ -815,51 +815,36 @@ def card_source(ast: Ast, env: Dict[str, Value]):
 # rendering
 
 
+# One row per value kind: (classes, type tag, renderer).  The first row
+# that matches wins, so bool comes before int.  posnum's renderers are
+# looked up at call time, like every other call into the library.
+_KINDS = (
+    (bool, "bool", lambda v: "true" if v else "false"),
+    (int, "int", str),
+    ((GrossPoly, ExpCount), "count", render_gross),
+    (CritRef, "critical_length", render_critref),
+    (MeasuredSet, "set", lambda v: str(v.record)),
+    (SignedMeasured, "signed_set", lambda v: str(v.record)),
+    (posnum.InfNumeral, "numeral", lambda v: posnum.render_numeral(v)),
+    (posnum.CriticalPair, "critical_pair", lambda v: posnum.render_critical_pair(v)),
+    (Observation, "observation", str),
+    ((ExactToken, NamedToken), "token", str),
+    (CountingSystem, "system", str),
+    (tuple, "sequence", lambda v: "[" + ", ".join(render_value(x) for x in v) + "]"),
+)
+
+
+def _kind(v: Value):
+    """(type tag, renderer) of a value."""
+    for classes, tag, render in _KINDS:
+        if isinstance(v, classes):
+            return tag, render
+    return type(v).__name__, repr
+
+
 def render_value(v: Value) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if _is_number(v):
-        return render_gross(v)
-    if isinstance(v, CritRef):
-        return render_critref(v)
-    if isinstance(v, _DualRoute):
-        return str(v.record)
-    if isinstance(v, posnum.InfNumeral):
-        return posnum.render_numeral(v)
-    if isinstance(v, posnum.CriticalPair):
-        return posnum.render_critical_pair(v)
-    if isinstance(v, (Observation, ExactToken, NamedToken, CountingSystem)):
-        return str(v)
-    if isinstance(v, tuple):
-        return "[" + ", ".join(render_value(x) for x in v) + "]"
-    return repr(v)
+    return _kind(v)[1](v)
 
 
 def type_tag(v: Value) -> str:
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, int):
-        return "int"
-    if _is_number(v):
-        return "count"
-    if isinstance(v, CritRef):
-        return "critical_length"
-    if isinstance(v, MeasuredSet):
-        return "set"
-    if isinstance(v, SignedMeasured):
-        return "signed_set"
-    if isinstance(v, posnum.InfNumeral):
-        return "numeral"
-    if isinstance(v, posnum.CriticalPair):
-        return "critical_pair"
-    if isinstance(v, Observation):
-        return "observation"
-    if isinstance(v, (ExactToken, NamedToken)):
-        return "token"
-    if isinstance(v, CountingSystem):
-        return "system"
-    if isinstance(v, tuple):
-        return "sequence"
-    return type(v).__name__
+    return _kind(v)[0]

@@ -39,13 +39,15 @@ from typing import FrozenSet, Iterable, Iterator, Tuple, Union
 
 from . import gnum
 from .errors import EvalError, RepresentationLimit
-from .gnum import GROSSONE, GrossNumber, GrossPoly, ZERO, fin, gterm
+from .gnum import GrossPoly, fin, gterm
 
 
 class SetOp(Enum):
-    UNION = "union"
-    INTERSECT = "intersect"
-    DIFFERENCE = "difference"
+    """A set operator, valued by its symbol in the expression language."""
+
+    UNION = "|"
+    INTERSECT = "&"
+    DIFFERENCE = "\\"
 
 
 # membership of x in s op t, from membership in s and in t
@@ -374,12 +376,7 @@ class CombineE(SetExpr):
     right: SetExpr
 
     def contains(self, x):
-        a, b = self.left.contains(x), self.right.contains(x)
-        if self.op is SetOp.UNION:
-            return a or b
-        if self.op is SetOp.INTERSECT:
-            return a and b
-        return a and not b
+        return _MEMBERSHIP[self.op](self.left.contains(x), self.right.contains(x))
 
     def enumerate_upto(self, limit):
         a = self.left.enumerate_upto(limit)
@@ -394,8 +391,7 @@ class CombineE(SetExpr):
         return combine(self.op, self.left.build(), self.right.build())
 
     def to_text(self):
-        sym = {"union": "|", "intersect": "&", "difference": "\\"}[self.op.value]
-        return f"({self.left.to_text()} {sym} {self.right.to_text()})"
+        return f"({self.left.to_text()} {self.op.value} {self.right.to_text()})"
 
 
 @dataclass(frozen=True)
@@ -508,11 +504,6 @@ def combine_signed(op: SetOp, s: SignedSet, t: SignedSet) -> SignedSet:
 def complement_signed(s: SignedSet) -> SignedSet:
     _, flip, _ = _route(s.positives)
     return SignedSet(flip(s.negatives), not s.has_zero, flip(s.positives))
-
-
-# aliases that keep existing imports of the tree-route names working
-SignedExprE = SignedSet
-lift_signed_expr = lift_signed
 
 
 # rendering back to expression-language text

@@ -39,10 +39,10 @@ from grosscalc.oracle import (
 from grosscalc.setmeasure import (
     ProgressionE,
     SetOp,
-    SignedExprE,
+    SignedSet,
     UNIVERSE_Z_E,
     UniverseNE,
-    lift_signed_expr,
+    lift_signed,
 )
 
 
@@ -125,7 +125,7 @@ class TestBruteCount:
         assert brute_count(UNIVERSE_Z_E, 50) == 101
 
     def test_lifted(self):
-        e = lift_signed_expr(ProgressionE(2, 2))
+        e = lift_signed(ProgressionE(2, 2))
         assert brute_count(e, 100) == 50
 
 
