@@ -17,6 +17,18 @@ Everything is immutable and exact.  Operations that would leave this closure
 raise an error from :mod:`grosscalc.errors` instead of approximating, and
 comparisons the closure cannot decide raise :class:`Undetermined` rather than
 guessing.
+
+Exponential counts relate to one another through three rules, one function
+each, and each refuses with ExponentTooLarge a power it will not compute:
+
+* ``_cmp_sandwich`` orders a critical count against a polynomial or another
+  critical count by bounding their difference through the sandwich; it
+  refuses offsets whose power passes ``_POWER_BIT_GUARD`` bits.
+* ``_cmp_remainder`` orders two ``b^P`` counts, of one base or two, once
+  their leading exponent terms tie; ``_cmp_scaled_power`` guards its power.
+* ``_exponent_gap`` finds the integer ``k`` by which two exponents differ,
+  for sums, differences and quotients; it refuses ``b^k`` past
+  ``MATERIALIZE_BIT_CAP`` bits, exactly as ``power`` does.
 """
 from __future__ import annotations
 
@@ -453,51 +465,47 @@ def sub(x: GrossNumber, y: GrossNumber) -> GrossNumber:
 
 
 def _combine_exp(x: ExpCount, y: ExpCount, subtract: bool) -> GrossNumber:
-    """Sum or difference of two exponential counts with compatible shapes."""
+    """Sum or difference of two exponential counts with compatible shapes.
+
+    Exponents that differ by a finite integer k fold the factor base^k into
+    the multiplier, mirroring the identity b^(P + k) == b^k * b^P.
+    """
     if x.base != y.base:
         raise UnsupportedSum("exponential counts with different bases do not combine")
-    merged = _merge_exponents(x, y)
-    if merged is None:
+    k = _exponent_gap(x, y)
+    if k is None:
         raise UnsupportedSum("exponential counts with incompatible exponents do not combine")
-    exponent, fx, fy = merged
-    ry = y.multiplier * fy
+    base = Fraction(x.base)
+    ry = y.multiplier * base ** max(-k, 0)
     if subtract:
         ry = -ry
-    multiplier = x.multiplier * fx + ry
+    multiplier = x.multiplier * base ** max(k, 0) + ry
     tail = _psub(x.tail, y.tail) if subtract else _padd(x.tail, y.tail)
     if multiplier == 0:
         return tail
     if multiplier < 0:
         raise UnsupportedSum("the difference would be a negative exponential count")
-    return ExpCount(multiplier, x.base, exponent, tail)
+    return ExpCount(multiplier, x.base, y.exponent if k >= 0 else x.exponent, tail)
 
 
-def _merge_exponents(x: ExpCount, y: ExpCount):
-    """Common exponent plus per-side rational factors, or None.
+def _exponent_gap(x: ExpCount, y: ExpCount) -> Optional[int]:
+    """The finite integer k with exponent(x) == exponent(y) + k, or None.
 
-    Exponents that differ by a finite integer k fold the factor base^k into
-    the multiplier, mirroring the identity b^(P + k) == b^k * b^P.
+    For two counts of one base: polynomial exponents have a gap when they
+    differ by an integer, critical lengths when they share their target.
+    Callers materialize base^k, so a gap past MATERIALIZE_BIT_CAP bits is
+    refused exactly when power refuses base^k.
     """
     ex, ey = x.exponent, y.exponent
-    base = Fraction(x.base)
     if isinstance(ex, GrossPoly) and isinstance(ey, GrossPoly):
-        diff = _psub(ex, ey)
-        if diff.is_zero:
-            return ex, Fraction(1), Fraction(1)
-        k = diff.as_int()
-        if k is None:
-            return None
-        if k > 0:
-            return ey, base ** k, Fraction(1)
-        return ex, Fraction(1), base ** (-k)
-    if isinstance(ex, CritRef) and isinstance(ey, CritRef):
-        if ex.base != ey.base or ex.target != ey.target:
-            return None
+        k = _psub(ex, ey).as_int()
+    elif isinstance(ex, CritRef) and isinstance(ey, CritRef) and ex.target == ey.target:
         k = ex.offset - ey.offset
-        if k >= 0:
-            return ey, base ** k, Fraction(1)
-        return ex, Fraction(1), base ** (-k)
-    return None
+    else:
+        return None
+    if k is not None and abs(k) * x.base.bit_length() > MATERIALIZE_BIT_CAP:
+        raise ExponentTooLarge(f"{x.base}^{k} will not be materialized")
+    return k
 
 
 # multiplication and division
@@ -556,22 +564,14 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     if x.base != y.base:
         raise NonExactDivision("exponential counts with different bases do not divide")
     ratio = x.multiplier / y.multiplier
-    ex, ey = x.exponent, y.exponent
-    if isinstance(ex, GrossPoly) and isinstance(ey, GrossPoly):
-        diff = _psub(ex, ey)
-        cls = classify(diff)
-        if cls is Classification.ZERO:
-            return fin(ratio)
-        if cls is Classification.INFINITE_POSITIVE:
+    k = _exponent_gap(x, y)
+    if k is not None:
+        # the unknown or infinite power cancels exactly
+        return fin(ratio * Fraction(x.base) ** k)
+    if isinstance(x.exponent, GrossPoly) and isinstance(y.exponent, GrossPoly):
+        diff = _psub(x.exponent, y.exponent)
+        if classify(diff) is Classification.INFINITE_POSITIVE:
             return ExpCount(ratio, x.base, diff)
-        k = diff.as_int()
-        if k is not None:
-            return fin(ratio * Fraction(x.base) ** k)
-        raise NonExactDivision("exponents do not cancel")
-    if isinstance(ex, CritRef) and isinstance(ey, CritRef):
-        if ex.base == ey.base and ex.target == ey.target:
-            # the unknown critical power cancels exactly
-            return fin(ratio * Fraction(x.base) ** (ex.offset - ey.offset))
     raise NonExactDivision("exponents do not cancel")
 
 
@@ -674,93 +674,77 @@ def _cmp_gross(x: GrossNumber, y: GrossNumber) -> int:
         return _cmp_poly(x, y)
     if isinstance(x, GrossPoly):
         return -_cmp_gross(y, x)
-    if isinstance(y, GrossPoly):
-        if isinstance(x.exponent, CritRef):
-            return _cmp_bounded_vs_poly(x, y)
-        # a b^P count exceeds every polynomial value
-        return 1
     xc = isinstance(x.exponent, CritRef)
+    if isinstance(y, GrossPoly):
+        # a b^P count exceeds every polynomial value
+        return _cmp_sandwich(x, y) if xc else 1
     yc = isinstance(y.exponent, CritRef)
     if xc and yc:
-        return _cmp_bounded_pair(x, y)
-    if xc:
-        # x is sandwiched below a polynomial bound; y exceeds all of them
-        return -1
-    if yc:
-        return 1
+        return _cmp_sandwich(x, y)
+    if xc or yc:
+        # a critical count is sandwiched below a polynomial bound; b^P
+        # exceeds all of them
+        return -1 if xc else 1
     if x.base == y.base:
-        return _cmp_same_base(x, y)
+        # divided by b^Py, the counts leave b^(Px - Py) against 1^(Px - Py)
+        return _cmp_remainder(x, y, _psub(x.exponent, y.exponent), x.base, 1)
     return _cmp_cross_base(x, y)
 
 
-def _crit_bounds(x: ExpCount) -> Tuple[GrossPoly, GrossPoly]:
-    """Exclusive lower and inclusive upper polynomial bounds of a crit count."""
-    ref = x.exponent
-    base = Fraction(x.base)
-    upper = _padd(_pscale(ref.target, x.multiplier * base ** ref.offset), x.tail)
-    lower = _padd(_pscale(ref.target, x.multiplier * base ** (ref.offset - 1)), x.tail)
-    return lower, upper
+def _cmp_sandwich(x: ExpCount, y: GrossNumber) -> int:
+    """Sign of x - y for a critical count x and a polynomial or critical y.
 
-
-def _cmp_bounded_vs_poly(x: ExpCount, y: GrossPoly) -> int:
-    lower, upper = _crit_bounds(x)
-    if _cmp_poly(lower, y) >= 0:
+    x - y is linear in the unknown powers B = b^crit(b, T), each known only
+    through the sandwich T/b < B <= T.  Coefficients of one (b, T) add up;
+    when they all cancel, the polynomial rest decides.  Otherwise an
+    exclusive lower bound >= 0 gives 1 and an inclusive upper bound <= 0
+    gives -1: the <= side is read as strict, since no target produced by
+    set measurement is an exact power of the base.
+    """
+    rest, coeffs = ZERO, {}
+    for sign_, z in ((1, x), (-1, y)):
+        if isinstance(z, GrossPoly):
+            rest = _psub(rest, z)
+            continue
+        ref = z.exponent
+        if abs(ref.offset) * ref.base.bit_length() > _POWER_BIT_GUARD:
+            raise ExponentTooLarge("critical-length comparison exceeds the size guard")
+        key = (ref.base, ref.target)
+        coeffs[key] = coeffs.get(key, 0) + sign_ * z.multiplier * Fraction(ref.base) ** ref.offset
+        rest = _padd(rest, _pscale(z.tail, sign_))
+    if not any(coeffs.values()):
+        return _cmp_poly(rest, ZERO)
+    lower = upper = rest
+    for (base, target), c in coeffs.items():
+        at_top, at_bottom = _pscale(target, c), _pscale(target, c / base)
+        lo, hi = (at_bottom, at_top) if c > 0 else (at_top, at_bottom)
+        lower, upper = _padd(lower, lo), _padd(upper, hi)
+    if _cmp_poly(lower, ZERO) >= 0:
         return 1
-    # the <= side of the sandwich is reported as strict: no target produced
-    # by set measurement is an exact power of the base
-    if _cmp_poly(upper, y) <= 0:
+    if _cmp_poly(upper, ZERO) <= 0:
         return -1
     raise Undetermined(
         f"{render_gross(x)} vs {render_gross(y)} is not resolvable from the sandwich"
     )
 
 
-def _cmp_bounded_pair(x: ExpCount, y: ExpCount) -> int:
-    rx, ry = x.exponent, y.exponent
-    if rx.base == ry.base and rx.target == ry.target and x.base == y.base:
-        base = Fraction(x.base)
-        factor = x.multiplier * base ** rx.offset - y.multiplier * base ** ry.offset
-        tail_diff = _psub(x.tail, y.tail)
-        if factor == 0:
-            return _cmp_poly(tail_diff, ZERO)
-        # difference = factor * B + tail_diff with B strictly inside
-        # (target/base, target]; boundary ties resolve as strict
-        at_upper = _padd(_pscale(rx.target, factor), tail_diff)
-        at_lower = _padd(_pscale(rx.target, factor / base), tail_diff)
-        lo, hi = (at_lower, at_upper) if factor > 0 else (at_upper, at_lower)
-        if _cmp_poly(lo, ZERO) >= 0:
-            return 1
-        if _cmp_poly(hi, ZERO) <= 0:
-            return -1
-        raise Undetermined(
-            f"{render_gross(x)} vs {render_gross(y)} is not resolvable from the sandwich"
-        )
-    lower_x, upper_x = _crit_bounds(x)
-    lower_y, upper_y = _crit_bounds(y)
-    if _cmp_poly(upper_x, lower_y) <= 0:
-        return -1
-    if _cmp_poly(upper_y, lower_x) <= 0:
-        return 1
-    raise Undetermined(
-        f"{render_gross(x)} vs {render_gross(y)} is not resolvable from the sandwich"
-    )
+def _cmp_remainder(x: ExpCount, y: ExpCount, r: GrossPoly, bx: int, by: int) -> int:
+    """Sign of x - y once both are divided by a common power of their bases.
 
-
-def _cmp_same_base(x: ExpCount, y: ExpCount) -> int:
-    diff = _psub(x.exponent, y.exponent)
-    cls = classify(diff)
-    if cls is Classification.INFINITE_POSITIVE:
-        return 1
-    if cls is Classification.INFINITE_NEGATIVE:
-        return -1
-    const = diff.constant_term()
-    s = _cmp_scaled_power(x.multiplier, x.base, const, y.multiplier, 1)
+    What is left is mx*bx^r against my*by^r: an infinite r, or the
+    (in)finitesimal part of r, goes the way of the larger base, a finite
+    rational r is compared exactly, and the tails decide an exact tie.
+    """
+    if classify(r) in (Classification.INFINITE_POSITIVE, Classification.INFINITE_NEGATIVE):
+        return _sign(r.terms[0][0]) * _sign(bx - by)
+    const = r.constant_term()
+    s = _cmp_scaled_power(x.multiplier, bx, const, y.multiplier, by)
     if s:
         return s
-    eps = _psub(diff, fin(const))
+    eps = _psub(r, fin(const))
     if eps.terms:
         # b^eps is 1 plus an (in)finitesimal of the sign of eps
-        return _sign(eps.terms[0][0])
+        return _sign(eps.terms[0][0]) * _sign(bx - by)
     return _cmp_poly(x.tail, y.tail)
 
 
@@ -807,22 +791,7 @@ def _cmp_cross_base(x: ExpCount, y: ExpCount) -> int:
             f"{render_gross(x)} vs {render_gross(y)}: tied at leading order with "
             "different exponent remainders"
         )
-    if not rx.terms:
-        s = _sign(x.multiplier - y.multiplier)
-        if s:
-            return s
-        return _cmp_poly(x.tail, y.tail)
-    cls = classify(rx)
-    if cls in (Classification.INFINITE_POSITIVE, Classification.INFINITE_NEGATIVE):
-        return _sign(rx.terms[0][0]) * _sign(x.base - y.base)
-    const = rx.constant_term()
-    s = _cmp_scaled_power(x.multiplier, x.base, const, y.multiplier, y.base)
-    if s:
-        return s
-    eps = _psub(rx, fin(const))
-    if eps.terms:
-        return _sign(eps.terms[0][0]) * _sign(x.base - y.base)
-    return _cmp_poly(x.tail, y.tail)
+    return _cmp_remainder(x, y, rx, x.base, y.base)
 
 
 # rendering (the inverse of the expression-language parser on canonical forms)

@@ -45,7 +45,10 @@ from .setmeasure import (
 
 # Cap on the bit length of any number produced by substitution; large enough
 # for every check in the suite, small enough to fail fast on runaway powers.
-DEFAULT_BIT_CAP = 10 ** 6
+BIT_CAP = 10 ** 6
+
+# admissible_points offers these multiples of the smallest admissible point.
+POINT_MULTIPLIERS = (1, 2, 3)
 
 
 def int_log_floor(base: int, n: int) -> int:
@@ -59,18 +62,18 @@ def int_log_floor(base: int, n: int) -> int:
     return k
 
 
-def subst(x: Union[GrossNumber, CritRef], L: int, bit_cap: int = DEFAULT_BIT_CAP) -> Fraction:
+def subst(x: Union[GrossNumber, CritRef], L: int) -> Fraction:
     """Evaluate x with the infinite unit replaced by the integer L."""
     if not isinstance(L, int) or L < 2:
         raise InvalidL(f"substitution point must be an integer >= 2, got {L!r}")
     if isinstance(x, GrossPoly):
-        return _subst_poly(x, L, bit_cap)
+        return _subst_poly(x, L)
     if isinstance(x, ExpCount):
         exponent = x.exponent
         if isinstance(exponent, CritRef):
-            k = _subst_critref(exponent, L, bit_cap)
+            k = _subst_critref(exponent, L)
         else:
-            k = _subst_poly(exponent, L, bit_cap)
+            k = _subst_poly(exponent, L)
             if k.denominator != 1:
                 raise NonIntegerExponent(
                     f"exponent of {render_gross(x)} substitutes to non-integer {k}"
@@ -80,15 +83,15 @@ def subst(x: Union[GrossNumber, CritRef], L: int, bit_cap: int = DEFAULT_BIT_CAP
             raise NegativeExponent(
                 f"exponent of {render_gross(x)} substitutes to negative {k}"
             )
-        _guard_power_bits(x.base, k, bit_cap)
-        return x.multiplier * Fraction(x.base) ** k + _subst_poly(x.tail, L, bit_cap)
+        _guard_power_bits(x.base, k)
+        return x.multiplier * Fraction(x.base) ** k + _subst_poly(x.tail, L)
     if isinstance(x, CritRef):
-        return Fraction(_subst_critref(x, L, bit_cap))
+        return Fraction(_subst_critref(x, L))
     raise TypeError(f"cannot substitute into {x!r}")
 
 
-def _subst_critref(ref: CritRef, L: int, bit_cap: int) -> int:
-    target = _subst_poly(ref.target, L, bit_cap)
+def _subst_critref(ref: CritRef, L: int) -> int:
+    target = _subst_poly(ref.target, L)
     if target.denominator != 1 or target < 1:
         raise CritRefNotSubstitutable(
             f"target of {ref!r} substitutes to {target}, not a positive integer"
@@ -96,22 +99,22 @@ def _subst_critref(ref: CritRef, L: int, bit_cap: int) -> int:
     return int_log_floor(ref.base, int(target)) + ref.offset
 
 
-def _subst_poly(p: GrossPoly, L: int, bit_cap: int) -> Fraction:
+def _subst_poly(p: GrossPoly, L: int) -> Fraction:
     total = Fraction(0)
     for coeff, exp in p.terms:
-        e = _subst_poly(exp, L, bit_cap)
+        e = _subst_poly(exp, L)
         if e.denominator != 1:
             raise NonIntegerExponent(f"exponent {render_gross(exp)} substitutes to {e}")
-        _guard_power_bits(L, abs(int(e)), bit_cap)
+        _guard_power_bits(L, abs(int(e)))
         power = Fraction(L) ** int(e)
         total += coeff * power
     return total
 
 
-def _guard_power_bits(base: int, exponent: int, bit_cap: int) -> None:
-    if exponent * max(base, 2).bit_length() > bit_cap:
+def _guard_power_bits(base: int, exponent: int) -> None:
+    if exponent * max(base, 2).bit_length() > BIT_CAP:
         raise ExponentTooLarge(
-            f"{base}^{exponent} exceeds the {bit_cap}-bit substitution guard"
+            f"{base}^{exponent} exceeds the {BIT_CAP}-bit substitution guard"
         )
 
 
@@ -218,18 +221,18 @@ def _expr_moduli(expr: SetExpr) -> list:
     return []
 
 
-def admissible_points(expr: SetExpr, multipliers: Sequence[int] = (1, 2, 3)) -> Tuple[int, ...]:
+def admissible_points(expr: SetExpr) -> Tuple[int, ...]:
     """Substitution points valid for check_card on this expression."""
-    return _points_for(expr, expr.build(), multipliers)
+    return _points_for(expr, expr.build())
 
 
-def _points_for(expr: SetExpr, built, multipliers: Sequence[int] = (1, 2, 3)) -> Tuple[int, ...]:
+def _points_for(expr: SetExpr, built) -> Tuple[int, ...]:
     """admissible_points with the record of expr already built."""
     lcm = math.lcm(built.modulus, *(_expr_moduli(expr) or [1]))
     ceiling = _exception_ceiling(built)
     floor = max(2, 10 * ceiling + 1)
     scale = -(floor // -lcm)  # ceil division
-    return tuple(lcm * scale * m for m in multipliers)
+    return tuple(lcm * scale * m for m in POINT_MULTIPLIERS)
 
 
 def sweep(seed: int, cases: int) -> Tuple[int, list]:
