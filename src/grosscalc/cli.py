@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Optional
 
-from . import gclang, oracle
+from . import gclang, gnum, oracle
 from .errors import GrossError, InvalidL, ParseError
 from .gclang import MeasuredSet, SignedMeasured
 
@@ -39,6 +39,8 @@ def _oracle_text(ast, value, env, point: int):
             return str(report), report.match
         if isinstance(value, (gclang.GrossPoly, gclang.ExpCount, gclang.CritRef)):
             substituted = oracle.subst(value, point)
+            gnum.check_digits(substituted.numerator)
+            gnum.check_digits(substituted.denominator)
             return f"subst(G := {point}) = {substituted}", True
         return None, True
     except InvalidL as err:

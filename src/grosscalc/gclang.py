@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from . import gnum, observer, oracle, posnum, setmeasure
-from .errors import EvalError, ParseError, UnboundIdentifier
+from .errors import EvalError, ParseError, RepresentationLimit, UnboundIdentifier
 from .gnum import (
     CritRef,
     ExpCount,
@@ -325,6 +325,11 @@ class _Parser:
     def atom(self) -> Ast:
         t = self.advance()
         if t.kind == "INT":
+            # measured on the text, before int() has to read it
+            if len(t.text) > gnum.MAX_DIGITS:
+                raise RepresentationLimit(
+                    f"a literal has {len(t.text)} digits, more than {gnum.MAX_DIGITS}"
+                )
             return Lit(int(t.text))
         if t.kind == "IDENT":
             if not self.at_op("("):
@@ -415,18 +420,10 @@ def default_env() -> Dict[str, Value]:
         "Z": SignedMeasured(INTEGERS, UNIVERSE_Z_E),
         "true": True,
         "false": False,
-        "piraha": observer.PIRAHA,
-        "munduruku": observer.MUNDURUKU,
-        "calculus": observer.CALCULUS_INFINITY,
-        "cantor": observer.CANTOR,
-        "grossone": observer.GROSSONE_SYSTEM,
-        "many": observer.MANY,
-        "some_not_many": observer.SOME_NOT_MANY,
-        "many_really_many": observer.MANY_REALLY_MANY,
-        "inf": observer.INFINITY,
-        "aleph0": observer.ALEPH0,
-        "C": observer.CONTINUUM,
     }
+    for system in observer.SYSTEMS:
+        env[str(system)] = system
+        env.update((str(rung), rung) for rung, _ in system.ladder)
     return env
 
 
@@ -450,6 +447,7 @@ def _want_int(v, what: str, minimum: Optional[int] = None) -> int:
     n = v.as_int() if isinstance(v, GrossPoly) else None
     if n is None:
         raise EvalError(f"{what} must be a finite integer, got {render_value(v)}")
+    gnum.check_digits(n, what)
     if minimum is not None and n < minimum:
         raise EvalError(f"{what} must be at least {minimum}, got {n}")
     return n
@@ -820,7 +818,7 @@ def card_source(ast: Ast, env: Dict[str, Value]):
 # looked up at call time, like every other call into the library.
 _KINDS = (
     (bool, "bool", lambda v: "true" if v else "false"),
-    (int, "int", str),
+    (int, "int", lambda v: str(gnum.check_digits(v))),
     ((GrossPoly, ExpCount), "count", render_gross),
     (CritRef, "critical_length", render_critref),
     (MeasuredSet, "set", lambda v: str(v.record)),

@@ -25,7 +25,9 @@ each, and each refuses with ExponentTooLarge a power it will not compute:
   critical count by bounding their difference through the sandwich; it
   refuses offsets whose power passes ``_POWER_BIT_GUARD`` bits.
 * ``_cmp_remainder`` orders two ``b^P`` counts, of one base or two, once
-  their leading exponent terms tie; ``_cmp_scaled_power`` guards its power.
+  their leading exponent terms tie; ``_cmp_scaled_power`` guards its powers,
+  of the bases by the exponent's numerator and of the multipliers by its
+  denominator.
 * ``_exponent_gap`` finds the integer ``k`` by which two exponents differ,
   for sums, differences and quotients; it refuses ``b^k`` past
   ``MATERIALIZE_BIT_CAP`` bits, exactly as ``power`` does.
@@ -46,6 +48,7 @@ from .errors import (
     NonExactDivision,
     NonIntegerExponent,
     NotInfinite,
+    RepresentationLimit,
     Undetermined,
     UnsupportedPower,
     UnsupportedProduct,
@@ -65,6 +68,13 @@ MATERIALIZE_BIT_CAP = 10 ** 6
 # Powers of multi-term values are unrolled into at most this many products.
 _POW_UNROLL_LIMIT = 512
 
+# Integers are written as, or read from, at most this many decimal digits:
+# CPython 3.11's default int/str limit, fixed here rather than read from the
+# interpreter so that every supported version refuses the same integers.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+_DIGIT_BOUND_BITS = _DIGIT_BOUND.bit_length()
+
 
 class Ordering(Enum):
     LESS = -1
@@ -83,6 +93,14 @@ class Classification(Enum):
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def check_digits(n: int, what: str = "an integer") -> int:
+    """n itself, or RepresentationLimit when |n| has more than MAX_DIGITS
+    digits.  An ordinary int passes on one bit-length comparison."""
+    if n.bit_length() >= _DIGIT_BOUND_BITS and abs(n) >= _DIGIT_BOUND:
+        raise RepresentationLimit(f"{what} has more than {MAX_DIGITS} digits")
+    return n
 
 
 def _as_fraction(value) -> Fraction:
@@ -749,13 +767,16 @@ def _cmp_remainder(x: ExpCount, y: ExpCount, r: GrossPoly, bx: int, by: int) -> 
 
 
 def _cmp_scaled_power(r1: Fraction, b1: int, f: Fraction, r2: Fraction, b2: int) -> int:
-    """Sign of r1*b1^f - r2*b2^f for an exact rational f."""
+    """Sign of r1*b1^f - r2*b2^f for an exact rational f, compared as
+    r1^q * b1^p against r2^q * b2^p for f = p/q."""
     q = f.denominator
     p = f.numerator
-    if abs(p) * max(b1, b2).bit_length() > _POWER_BIT_GUARD:
+    r1, r2 = Fraction(r1), Fraction(r2)
+    width = max(max(abs(r.numerator), r.denominator).bit_length() for r in (r1, r2))
+    if max(abs(p) * max(b1, b2).bit_length(), q * width) > _POWER_BIT_GUARD:
         raise ExponentTooLarge("cross-power comparison exceeds the size guard")
-    lhs = Fraction(r1) ** q * Fraction(b1) ** p
-    rhs = Fraction(r2) ** q * Fraction(b2) ** p
+    lhs = r1 ** q * Fraction(b1) ** p
+    rhs = r2 ** q * Fraction(b2) ** p
     return _sign(lhs - rhs)
 
 
@@ -794,19 +815,19 @@ def _cmp_cross_base(x: ExpCount, y: ExpCount) -> int:
     return _cmp_remainder(x, y, rx, x.base, y.base)
 
 
-# rendering (the inverse of the expression-language parser on canonical forms)
+# rendering (the inverse of the expression-language parser on canonical forms);
+# every integer written passes check_digits first
 
 
 def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    n, d = check_digits(f.numerator), check_digits(f.denominator)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _exp_str(e: GrossPoly) -> str:
     n = e.as_int()
     if n is not None and n >= 0:
-        return str(n)
+        return str(check_digits(n))
     return f"({render_poly(e)})"
 
 
@@ -815,7 +836,7 @@ def _term_body(coeff: Fraction, exp: GrossPoly) -> str:
     if exp.is_zero:
         return _frac_str(coeff)
     core = "G" if exp == ONE else f"G^{_exp_str(exp)}"
-    n, d = coeff.numerator, coeff.denominator
+    n, d = check_digits(coeff.numerator), check_digits(coeff.denominator)
     body = core if n == 1 else f"{n}*{core}"
     if d != 1:
         body += f"/{d}"
@@ -840,12 +861,13 @@ def render_poly(p: GrossPoly) -> str:
 
 
 def render_critref(ref: CritRef) -> str:
-    inner = f"crit({ref.base}, {render_poly(ref.target)})"
-    if ref.offset == 0:
+    inner = f"crit({check_digits(ref.base)}, {render_poly(ref.target)})"
+    offset = check_digits(ref.offset)
+    if offset == 0:
         return inner
-    if ref.offset > 0:
-        return f"({inner} + {ref.offset})"
-    return f"({inner} - {-ref.offset})"
+    if offset > 0:
+        return f"({inner} + {offset})"
+    return f"({inner} - {-offset})"
 
 
 def render_gross(x: GrossNumber) -> str:
@@ -858,8 +880,8 @@ def render_gross(x: GrossNumber) -> str:
         exp_text = "G"
     else:
         exp_text = f"({render_poly(x.exponent)})"
-    core = f"{x.base}^{exp_text}"
-    n, d = x.multiplier.numerator, x.multiplier.denominator
+    core = f"{check_digits(x.base)}^{exp_text}"
+    n, d = check_digits(x.multiplier.numerator), check_digits(x.multiplier.denominator)
     if n != 1:
         core = f"{n}*{core}"
     if d != 1:

@@ -14,9 +14,8 @@ anyway so that observation is total on counts and stays monotone.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 from . import gnum
 from .errors import ForeignToken, NegativeCount, NonIntegralCount
@@ -30,40 +29,6 @@ from .gnum import (
     fin,
     render_gross,
 )
-
-
-class SystemId(Enum):
-    PIRAHA = "piraha"
-    MUNDURUKU = "munduruku"
-    CALCULUS_INFINITY = "calculus"
-    CANTOR = "cantor"
-    GROSSONE = "grossone"
-
-
-@dataclass(frozen=True)
-class CountingSystem:
-    """One instrument.  The limit field only matters for Munduruku: it is
-    where "some, not many" ends and "many, really many" begins, a modeling
-    choice rather than an attested fact."""
-
-    id: SystemId
-    some_not_many_limit: int = 100
-
-    def __post_init__(self):
-        if self.some_not_many_limit < 5:
-            raise ValueError("the estimation band cannot start below the exact range")
-
-    def __str__(self):
-        return self.id.value
-
-
-PIRAHA = CountingSystem(SystemId.PIRAHA)
-MUNDURUKU = CountingSystem(SystemId.MUNDURUKU)
-CALCULUS_INFINITY = CountingSystem(SystemId.CALCULUS_INFINITY)
-CANTOR = CountingSystem(SystemId.CANTOR)
-GROSSONE_SYSTEM = CountingSystem(SystemId.GROSSONE)
-
-SYSTEMS = (PIRAHA, MUNDURUKU, CALCULUS_INFINITY, CANTOR, GROSSONE_SYSTEM)
 
 
 @dataclass(frozen=True)
@@ -95,32 +60,26 @@ INFINITY = NamedToken("inf")
 ALEPH0 = NamedToken("aleph0")
 CONTINUUM = NamedToken("C")
 
-# vague tokens in increasing band order, per system
-_LADDER = {
-    SystemId.PIRAHA: (MANY,),
-    SystemId.MUNDURUKU: (SOME_NOT_MANY, MANY_REALLY_MANY),
-    SystemId.CALCULUS_INFINITY: (INFINITY,),
-    SystemId.CANTOR: (ALEPH0, CONTINUUM),
-    SystemId.GROSSONE: (),
-}
+Covers = Callable[[GrossNumber], bool]
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What the instrument reported for one true count."""
+@dataclass(frozen=True, repr=False)
+class CountingSystem:
+    """One instrument, one row: the counts it names exactly, its vague
+    tokens in increasing band order, each with the counts it covers (the
+    last rung covers the rest), and the refusal of an exact numeral it
+    lacks, with slots for the count and the system."""
 
-    system: CountingSystem
-    token: Token
-
-    @property
-    def exact(self) -> Optional[GrossNumber]:
-        return self.token.value if isinstance(self.token, ExactToken) else None
+    name: str
+    exact: Covers
+    ladder: Tuple[Tuple[NamedToken, Covers], ...]
+    foreign: str = "{count} has no exact numeral in {system}"
 
     def __str__(self):
-        return str(self.token)
+        return self.name
 
     def __repr__(self):
-        return f"Observation<{self.system}: {self.token}>"
+        return f"CountingSystem<{self.name}>"
 
 
 def _as_count(v) -> GrossNumber:
@@ -141,65 +100,84 @@ def _is_finite(v: GrossNumber) -> bool:
     return classify(v) in (Classification.ZERO, Classification.FINITE_POSITIVE)
 
 
+def _upto(n: int) -> Covers:
+    return lambda v: _is_finite(v) and v.as_int() <= n
+
+
+def _any(v: GrossNumber) -> bool:
+    return True
+
+
+def _countable(v: GrossNumber) -> bool:
+    # Cantor's split: everything polynomial in G is countable, and so is b^k1
+    # for a critical length k1, bounded by its polynomial target; b^K for an
+    # infinite polynomial K has the cardinality of the unit interval's numerals
+    return not (isinstance(v, ExpCount) and isinstance(v.exponent, GrossPoly))
+
+
+PIRAHA = CountingSystem(
+    "piraha", _upto(2), ((MANY, _any),), "{count} is beyond the exact numerals 1, 2"
+)
+# where "some, not many" ends and "many, really many" begins is a modeling
+# choice rather than an attested fact
+MUNDURUKU = CountingSystem(
+    "munduruku",
+    _upto(5),
+    ((SOME_NOT_MANY, _upto(100)), (MANY_REALLY_MANY, _any)),
+    "{count} is beyond the exact numerals 1..5",
+)
+CALCULUS_INFINITY = CountingSystem("calculus", _is_finite, ((INFINITY, _any),))
+CANTOR = CountingSystem("cantor", _is_finite, ((ALEPH0, _countable), (CONTINUUM, _any)))
+GROSSONE_SYSTEM = CountingSystem("grossone", _any, ())
+
+SYSTEMS = (PIRAHA, MUNDURUKU, CALCULUS_INFINITY, CANTOR, GROSSONE_SYSTEM)
+
+
+@dataclass(frozen=True)
+class Observation:
+    """What the instrument reported for one true count."""
+
+    system: CountingSystem
+    token: Token
+
+    @property
+    def exact(self) -> Optional[GrossNumber]:
+        return self.token.value if isinstance(self.token, ExactToken) else None
+
+    def __str__(self):
+        return str(self.token)
+
+    def __repr__(self):
+        return f"Observation<{self.system}: {self.token}>"
+
+
 def observe(sys: CountingSystem, v) -> Observation:
     """Read the count v through the given system's numerals."""
     v = _as_count(v)
-    if sys.id is SystemId.GROSSONE:
+    if sys.exact(v):
         return Observation(sys, ExactToken(v))
-    if sys.id is SystemId.PIRAHA:
-        if _is_finite(v) and v.as_int() <= 2:
-            return Observation(sys, ExactToken(v))
-        return Observation(sys, MANY)
-    if sys.id is SystemId.MUNDURUKU:
-        if not _is_finite(v):
-            return Observation(sys, MANY_REALLY_MANY)
-        n = v.as_int()
-        if n <= 5:
-            return Observation(sys, ExactToken(v))
-        if n <= sys.some_not_many_limit:
-            return Observation(sys, SOME_NOT_MANY)
-        return Observation(sys, MANY_REALLY_MANY)
-    if sys.id is SystemId.CALCULUS_INFINITY:
-        if _is_finite(v):
-            return Observation(sys, ExactToken(v))
-        return Observation(sys, INFINITY)
-    # Cantor: the countable/continuum split.  Everything polynomial in G is
-    # countable; b^K for an infinite polynomial K has the cardinality of the
-    # numerals of the unit interval; b^k1 for a critical length k1 is bounded
-    # by its polynomial target and therefore countable too.
-    if _is_finite(v):
-        return Observation(sys, ExactToken(v))
-    if isinstance(v, ExpCount) and isinstance(v.exponent, GrossPoly):
-        return Observation(sys, CONTINUUM)
-    return Observation(sys, ALEPH0)
+    return Observation(sys, next(rung for rung, covers in sys.ladder if covers(v)))
 
 
 def _require_member(sys: CountingSystem, t) -> Token:
     if isinstance(t, (int, Fraction, GrossPoly, ExpCount)):
         t = ExactToken(_as_count(t))
     if isinstance(t, NamedToken):
-        if t not in _LADDER[sys.id]:
+        if t not in (rung for rung, _ in sys.ladder):
             raise ForeignToken(f"{t} is not a numeral of {sys}")
         return t
     if not isinstance(t, ExactToken):
         raise ForeignToken(f"{t!r} is not a numeral of {sys}")
     v = _as_count(t.value)
-    if sys.id is SystemId.PIRAHA:
-        if not (_is_finite(v) and v.as_int() <= 2):
-            raise ForeignToken(f"{render_gross(v)} is beyond the exact numerals 1, 2")
-    elif sys.id is SystemId.MUNDURUKU:
-        if not (_is_finite(v) and v.as_int() <= 5):
-            raise ForeignToken(f"{render_gross(v)} is beyond the exact numerals 1..5")
-    elif sys.id in (SystemId.CALCULUS_INFINITY, SystemId.CANTOR):
-        if not _is_finite(v):
-            raise ForeignToken(f"{render_gross(v)} has no exact numeral in {sys}")
+    if not sys.exact(v):
+        raise ForeignToken(sys.foreign.format(count=render_gross(v), system=sys))
     return ExactToken(v)
 
 
 def _rank(sys: CountingSystem, t: Token) -> int:
     if isinstance(t, ExactToken):
         return 0
-    return 1 + _LADDER[sys.id].index(t)
+    return 1 + [rung for rung, _ in sys.ladder].index(t)
 
 
 def weak_add(sys: CountingSystem, a, b) -> Token:

@@ -179,10 +179,10 @@ def progression(first: int, step: int) -> NatSubset:
         raise EvalError(f"progression steps are positive integers, got {step!r}")
     r = first % step
     start = r if r >= 1 else step
-    holes = range(start, first, step)
-    _guard_size(len(holes), f"elements ap({first}, {step}) skips below its start")
+    # counted before any range is built: len() of a range past 2^63 overflows
+    _guard_size((first - start) // step, f"elements ap({first}, {step}) skips below its start")
     # one residue has no shorter period, and every hole lies in its class
-    return NatSubset(step, frozenset((r,)), frozenset(), frozenset(holes))
+    return NatSubset(step, frozenset((r,)), frozenset(), frozenset(range(start, first, step)))
 
 
 def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:

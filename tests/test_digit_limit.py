@@ -1,0 +1,64 @@
+"""Integers past gnum.MAX_DIGITS decimal digits, and progressions that skip
+more elements than a C size can hold, end in a typed RepresentationLimit on
+every Python version, never in the interpreter's int/str ValueError."""
+
+import json
+
+import pytest
+
+from grosscalc import cli, errors, gclang, gnum
+
+
+def _run(line, capsys, point=None):
+    code = cli.run_line(line, gclang.default_env(), json_mode=True, point=point)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "2^20000",
+        "2^14300",
+        "1" * 5000,
+        "subst(10^G, 5000)",
+        "G + 2^20000",
+        "{2^20000}",
+        "crit(2, G) + 2^20000",
+        "ap(1, 2^20000)",
+        "members(ap(1,2), 2^20000)",
+        "ap(2^100, 2)",
+        "card(ap(2^100, 1))",
+    ],
+)
+def test_oversized_integers_are_refused_typed(line, capsys):
+    code, out = _run(line, capsys)
+    assert code == cli.EXIT_EVAL
+    assert out["error"]["kind"] == "RepresentationLimit"
+
+
+def test_oracle_line_refuses_an_oversized_substitution(capsys):
+    _, out = _run("10^G", capsys, point=100000)
+    assert out["value"] == "10^G"
+    assert out["oracle"].startswith("unavailable (RepresentationLimit: ")
+
+
+def test_largest_power_below_the_limit_still_renders(capsys):
+    code, out = _run("2^14000", capsys)
+    assert code == cli.EXIT_OK
+    assert len(out["value"]) == 4215
+    assert gclang.eval_text(out["value"]) == gclang.eval_text("2^14000")
+
+
+def test_the_bound_is_ten_to_the_max_digits():
+    assert gnum.check_digits(10 ** gnum.MAX_DIGITS - 1) == 10 ** gnum.MAX_DIGITS - 1
+    assert gnum.check_digits(-(10 ** gnum.MAX_DIGITS - 1)) < 0
+    for n in (10 ** gnum.MAX_DIGITS, -(10 ** gnum.MAX_DIGITS)):
+        with pytest.raises(errors.RepresentationLimit):
+            gnum.check_digits(n)
+
+
+def test_far_start_counts_its_skipped_elements():
+    with pytest.raises(errors.RepresentationLimit) as info:
+        gclang.eval_text("ap(2^62, 3)")
+    assert "1537228672809129301 exceeds the cap" in str(info.value)
+    assert gclang.render_value(gclang.eval_text("ap(7, 3)")) == "ap(1, 3) \\ {1, 4}"

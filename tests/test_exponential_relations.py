@@ -172,6 +172,7 @@ class TestExponentGap:
             "3^(G + 100000000) + 3^G",
             "3^G - 3^(G - 100000000)",
             "2^(crit(2, G) - 100000000) / 2^crit(2, G)",
+            "3 * 2^(G + 1/30000000) > 2^G",
         ],
     )
     def test_gap_guard_is_typed_and_fast(self, line, capsys):
@@ -196,6 +197,8 @@ class TestExponentGap:
     [
         ("2^(G + 400000) / 2^G > 1", "true"),
         ("numerals(2, crit(2, G) + 400000) > G", "true"),
+        # 500000 * bit_length(3) == 10**6, the largest multiplier power compared
+        ("3 * 2^(G + 1/500000) > 2^G", "true"),
     ],
 )
 def test_inputs_below_the_guards_still_answer(line, value):

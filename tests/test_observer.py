@@ -39,7 +39,6 @@ from grosscalc.observer import (
     PIRAHA,
     SOME_NOT_MANY,
     SYSTEMS,
-    SystemId,
     distinguishable,
     observe,
     token_order,
@@ -94,15 +93,6 @@ class TestObserve:
         assert observe(MUNDURUKU, 101).token is MANY_REALLY_MANY
         assert observe(MUNDURUKU, G).token is MANY_REALLY_MANY
         assert observe(MUNDURUKU, TWO_POW_G).token is MANY_REALLY_MANY
-
-    def test_munduruku_band_edge_is_configurable(self):
-        narrow = CountingSystem(SystemId.MUNDURUKU, some_not_many_limit=10)
-        assert observe(narrow, 8).token is SOME_NOT_MANY
-        assert observe(narrow, 11).token is MANY_REALLY_MANY
-
-    def test_band_edge_cannot_undercut_exact_range(self):
-        with pytest.raises(ValueError):
-            CountingSystem(SystemId.MUNDURUKU, some_not_many_limit=4)
 
     def test_calculus_collapses_the_infinite(self):
         assert observe(CALCULUS_INFINITY, 7).exact == fin(7)
