@@ -21,21 +21,13 @@ EXIT_EVAL = 1
 EXIT_SYNTAX = 2
 
 
-def _oracle_report(ast, value, env, point: int) -> Optional[oracle.SubstReport]:
-    """The finite-substitution check for a count or set result, if any."""
-    if isinstance(value, (MeasuredSet, SignedMeasured)):
-        return oracle.check_card(value.expr, point)
-    source = gclang.card_source(ast, env)
-    if source is not None:
-        return oracle.check_card(source, point)
-    return None
-
-
-def _oracle_text(ast, value, env, point: int):
-    """Render the oracle line for a result; (text, ok)."""
+def _oracle_text(value, point: int):
+    """Render the oracle line for a result; (text, ok).  A set, or the set
+    a count came from, is checked as printed: its record against its tree."""
+    source = value.source if isinstance(value, gclang.SetCount) else value
     try:
-        report = _oracle_report(ast, value, env, point)
-        if report is not None:
+        if isinstance(source, (MeasuredSet, SignedMeasured)):
+            report = oracle.check_set(source.expr, source.record, point)
             return str(report), report.match
         if isinstance(value, (gclang.GrossPoly, gclang.ExpCount, gclang.CritRef)):
             substituted = oracle.subst(value, point)
@@ -65,15 +57,11 @@ def run_line(line: str, env, json_mode: bool, point: Optional[int]) -> int:
     """Parse, evaluate and print one line: one value or one error, never an
     escaping exception."""
     try:
-        ast = gclang.parse(line)
-        # a let rebinds its name in env; the oracle reads the names as the
-        # statement saw them
-        before = dict(env) if point is not None else None
-        value = gclang.evaluate(ast, env)
+        value = gclang.evaluate(gclang.parse(line), env)
         rendered = gclang.render_value(value)
         oracle_line = ok = None
         if point is not None:
-            oracle_line, ok = _oracle_text(ast, value, before, point)
+            oracle_line, ok = _oracle_text(value, point)
     except ParseError as err:
         return _fail(json_mode, err.kind, str(err), f"syntax error: {err}", EXIT_SYNTAX)
     except GrossError as err:

@@ -31,7 +31,8 @@ subset of Z (SignedMeasured, whose record and tree are both
 setmeasure.SignedSet containers).  The record answers algebraic questions
 (cardinality, rendering); the tree answers extensional ones (membership,
 finite enumeration), so every measurement stays checkable against brute
-force.  The two are never merged.
+force.  The two are never merged.  A card result is a SetCount: the count,
+holding the set it counted, so the oracle checks that set as printed.
 
 Canonical rendering is inverse to the parser on calculator values:
 re-parsing a rendered count, set, or boolean evaluates to an equal value.
@@ -410,6 +411,15 @@ class SignedMeasured(_DualRoute):
     """A subset of the integers: a SignedSet of records and one of trees."""
 
 
+@dataclass(frozen=True, repr=False, eq=False, kw_only=True)
+class SetCount(GrossPoly):
+    """The count of a set, holding the set it counted as ``source``, so the
+    oracle can check that set as it was printed.  It equals, hashes and
+    renders as the plain count; arithmetic on it yields a plain GrossPoly."""
+
+    source: _DualRoute
+
+
 Value = object
 
 
@@ -492,7 +502,7 @@ def _digit_tuple(text: str, what: str) -> Tuple[int, ...]:
 
 def _call_card(s):
     if isinstance(s, _DualRoute):
-        return s.record.card()
+        return SetCount(s.record.card().terms, source=s)
     raise EvalError(f"card expects a set, got {type_tag(s)}")
 
 
@@ -790,23 +800,6 @@ def eval_text(text: str, env: Optional[Dict[str, Value]] = None) -> Value:
     if env is None:
         env = default_env()
     return evaluate(parse(text), env)
-
-
-def card_source(ast: Ast, env: Dict[str, Value]):
-    """The set expression behind a cardinality result, when there is one.
-
-    For `card(S)` (also behind a let) this re-evaluates S and hands back
-    its expression tree, so a finite-substitution check can count the set
-    extensionally instead of trusting the algebraic route.  env must bind
-    names as the statement saw them, before a let rebound its own name.
-    """
-    if isinstance(ast, Let):
-        return card_source(ast.value, env)
-    if isinstance(ast, Call) and ast.func == "card" and len(ast.args) == 1:
-        v = evaluate(ast.args[0], env)
-        if isinstance(v, _DualRoute):
-            return v.expr
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,18 @@ def check_digits(n: int, what: str = "an integer") -> int:
     return n
 
 
+def number_text(x: Union[int, Fraction]) -> str:
+    """str(x) for an int or a Fraction, except that a numerator or
+    denominator past MAX_DIGITS digits is written by its bit length, so a
+    message can name any integer a guard refuses."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{number_text(x.numerator)}/{number_text(x.denominator)}"
+    n = int(x)
+    if n.bit_length() >= _DIGIT_BOUND_BITS and abs(n) >= _DIGIT_BOUND:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+    return str(n)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -522,7 +534,7 @@ def _exponent_gap(x: ExpCount, y: ExpCount) -> Optional[int]:
     else:
         return None
     if k is not None and abs(k) * x.base.bit_length() > MATERIALIZE_BIT_CAP:
-        raise ExponentTooLarge(f"{x.base}^{k} will not be materialized")
+        raise ExponentTooLarge(f"{x.base}^{number_text(k)} will not be materialized")
     return k
 
 
@@ -661,14 +673,18 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
         if r == 0 and n < 0:
             raise DivisionByZero("0 cannot be raised to a negative power")
         if max(abs(r.numerator), r.denominator).bit_length() * abs(n) > MATERIALIZE_BIT_CAP:
-            raise ExponentTooLarge(f"{r}^{n} will not be materialized")
+            raise ExponentTooLarge(
+                f"{number_text(r)}^{number_text(n)} will not be materialized"
+            )
         return fin(r ** n)
     if n is None or n < 0:
         raise UnsupportedPower(
             f"{render_gross(x)} only takes finite non-negative integer powers"
         )
     if n > _POW_UNROLL_LIMIT:
-        raise ExponentTooLarge(f"power {n} of {render_gross(x)} will not be unrolled")
+        raise ExponentTooLarge(
+            f"power {number_text(n)} of {render_gross(x)} will not be unrolled"
+        )
     out = ONE
     for _ in range(n):
         out = mul(out, x)

@@ -6,6 +6,10 @@ that brute-force enumeration can check.  The substitution is a homomorphism:
 whatever identity the calculator claims symbolically must hold numerically at
 every admissible L, where admissible means L is divisible by the moduli in
 play and safely larger than all exceptional elements.
+
+check_set compares a set's residue record with a brute count of its
+expression tree: the calculator passes the record a value printed, and
+check_card (a bare tree) builds one.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from .gnum import (
     GrossPoly,
     classify,
     compare,
+    number_text,
     render_gross,
 )
 from .setmeasure import (
@@ -114,7 +119,8 @@ def _subst_poly(p: GrossPoly, L: int) -> Fraction:
 def _guard_power_bits(base: int, exponent: int) -> None:
     if exponent * max(base, 2).bit_length() > BIT_CAP:
         raise ExponentTooLarge(
-            f"{base}^{exponent} exceeds the {BIT_CAP}-bit substitution guard"
+            f"{number_text(base)}^{number_text(exponent)} exceeds the "
+            f"{BIT_CAP}-bit substitution guard"
         )
 
 
@@ -153,19 +159,20 @@ def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
     the largest exceptional element, so that every residue class is sampled
     a whole number of times and corrections sit well inside the range.
     """
-    return _check_built(expr, expr.build(), L)
+    return check_set(expr, expr.build(), L)
 
 
-def _check_built(expr: Union[SetExpr, SignedSet], built, L: int) -> SubstReport:
-    """check_card with the record of expr already built."""
-    parts = (built.negatives, built.positives) if isinstance(built, SignedSet) else (built,)
+def check_set(expr: Union[SetExpr, SignedSet], record, L: int) -> SubstReport:
+    """check_card against a given record of expr, such as the one a
+    calculator value printed, rather than one rebuilt from the tree."""
+    parts = (record.negatives, record.positives) if isinstance(record, SignedSet) else (record,)
     for part in parts:
         if L % part.modulus != 0:
             raise InvalidL(f"L={L} is not divisible by the canonical modulus {part.modulus}")
     ceiling = max(_exception_ceiling(part) for part in parts)
     if L <= 10 * ceiling:
         raise InvalidL(f"L={L} is not beyond 10x the largest exception {ceiling}")
-    sym_val = subst(built.card(), L)
+    sym_val = subst(record.card(), L)
     brute = Fraction(brute_count(expr, L))
     return SubstReport(str(expr), L, sym_val, brute, sym_val == brute)
 
@@ -244,7 +251,7 @@ def sweep(seed: int, cases: int) -> Tuple[int, list]:
         expr = random_set_expr(rng)
         built = expr.build()
         for L in _points_for(expr, built):
-            report = _check_built(expr, built, L)
+            report = check_set(expr, built, L)
             reports.append(report)
             if not report.match:
                 failures += 1

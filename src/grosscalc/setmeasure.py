@@ -104,9 +104,14 @@ class NatSubset:
 MAX_RESIDUES = 10 ** 6
 
 
-def _guard_size(n: int, what: str) -> None:
+def _guard_size(n: int, what: str, *numbers: int) -> None:
+    """RepresentationLimit past MAX_RESIDUES; only then is ``what`` filled
+    in with the numbers, which may be too long for str()."""
     if n > MAX_RESIDUES:
-        raise RepresentationLimit(f"{what}: {n} exceeds the cap of {MAX_RESIDUES}")
+        what = what.format(*map(gnum.number_text, numbers))
+        raise RepresentationLimit(
+            f"{what}: {gnum.number_text(n)} exceeds the cap of {MAX_RESIDUES}"
+        )
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -180,7 +185,7 @@ def progression(first: int, step: int) -> NatSubset:
     r = first % step
     start = r if r >= 1 else step
     # counted before any range is built: len() of a range past 2^63 overflows
-    _guard_size((first - start) // step, f"elements ap({first}, {step}) skips below its start")
+    _guard_size((first - start) // step, "elements ap({}, {}) skips below its start", first, step)
     # one residue has no shorter period, and every hole lies in its class
     return NatSubset(step, frozenset((r,)), frozenset(), frozenset(range(start, first, step)))
 
@@ -202,12 +207,13 @@ def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:
     elif op is SetOp.UNION:
         _guard_size(
             len(s.residues) * (lift // ms) + len(t.residues) * (lift // mt),
-            f"residue classes of the union at modulus {lift}",
+            "residue classes of the union at modulus {}",
+            lift,
         )
         residues = frozenset(_lift(s.residues, ms, lift) | _lift(t.residues, mt, lift))
     else:
         _guard_size(
-            len(s.residues) * (lift // ms), f"residue classes of the difference at modulus {lift}"
+            len(s.residues) * (lift // ms), "residue classes of the difference at modulus {}", lift
         )
         residues = frozenset(x for x in _lift(s.residues, ms, lift) if x % mt not in t.residues)
     fn = _MEMBERSHIP[op]
@@ -235,7 +241,7 @@ def _crt_intersect(s: NatSubset, t: NatSubset, lift: int) -> FrozenSet[int]:
     for b in t.residues:
         by_class.setdefault(b % g, []).append(b)
     size = sum(len(by_class.get(a % g, ())) for a in s.residues)
-    _guard_size(size, f"residue classes of the intersection at modulus {lift}")
+    _guard_size(size, "residue classes of the intersection at modulus {}", lift)
     # x = a + ms*k with ms*k = b - a (mod mt), i.e. k = (b - a)/g * inv mod mt/g
     step = mt // g
     inv = pow(ms // g, -1, step)
@@ -250,7 +256,9 @@ def complement(s: NatSubset) -> NatSubset:
     """The complement within the naturals {1..G}: it keeps the period of s
     and swaps its exceptions, in O(modulus)."""
     _guard_size(
-        s.modulus - len(s.residues), f"residue classes of the complement at modulus {s.modulus}"
+        s.modulus - len(s.residues),
+        "residue classes of the complement at modulus {}",
+        s.modulus,
     )
     residues = frozenset(range(s.modulus)) - s.residues
     return NatSubset(s.modulus, residues, s.removed, s.added)
@@ -461,11 +469,21 @@ class SignedSet:
         return f"SignedSet<{render_signed(self)}>"
 
 
+def _join_trees(op: SetOp, a: SetExpr, b: SetExpr) -> SetExpr:
+    """CombineE with empty operands dropped by syntax alone: x | {}, {} | x
+    and x \\ {} are x; x & {}, {} & x and {} \\ x are {}."""
+    if b == EMPTY_E:
+        return EMPTY_E if op is SetOp.INTERSECT else a
+    if a == EMPTY_E:
+        return b if op is SetOp.UNION else EMPTY_E
+    return CombineE(op, a, b)
+
+
 def _route(part: Part):
     """(combine, complement, empty part) on the route the part belongs to."""
     if isinstance(part, NatSubset):
         return combine, complement, EMPTY
-    return CombineE, ComplementE, EMPTY_E
+    return _join_trees, ComplementE, EMPTY_E
 
 
 EMPTY_SIGNED = SignedSet(EMPTY, False, EMPTY)
@@ -512,6 +530,9 @@ def complement_signed(s: SignedSet) -> SignedSet:
 def render_nat(s: NatSubset) -> str:
     if s == NATURALS:
         return "N"
+    # residues lie below the modulus; exceptions come from literals and
+    # progression starts, which the language already bounds
+    gnum.check_digits(s.modulus, "a set's modulus")
     pieces = []
     for r in sorted(s.residues):
         start = r if r >= 1 else s.modulus
