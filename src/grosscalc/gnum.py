@@ -23,14 +23,18 @@ each, and each refuses with ExponentTooLarge a power it will not compute:
 
 * ``_cmp_sandwich`` orders a critical count against a polynomial or another
   critical count by bounding their difference through the sandwich; it
-  refuses offsets whose power passes ``_POWER_BIT_GUARD`` bits.
+  refuses offsets whose power passes ``MAX_POWER_BITS`` bits.
 * ``_cmp_remainder`` orders two ``b^P`` counts, of one base or two, once
   their leading exponent terms tie; ``_cmp_scaled_power`` guards its powers,
   of the bases by the exponent's numerator and of the multipliers by its
   denominator.
 * ``_exponent_gap`` finds the integer ``k`` by which two exponents differ,
   for sums, differences and quotients; it refuses ``b^k`` past
-  ``MATERIALIZE_BIT_CAP`` bits, exactly as ``power`` does.
+  ``MAX_POWER_BITS`` bits, exactly as ``power`` does.
+
+Guards on work too large to do, in every module, compare against
+``MAX_POWER_BITS`` or ``MAX_ITEMS`` read from here at call time, so one
+assignment moves them all, and raise through ``refuse``.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, NoReturn, Optional, Tuple, Union
 
 from .errors import (
     DepthLimitExceeded,
@@ -59,11 +63,13 @@ from .errors import (
 # cap keeps recursive comparison obviously terminating.
 MAX_EXPONENT_DEPTH = 8
 
-# Cross-power comparisons compute b**n exactly; refuse silly sizes.
-_POWER_BIT_GUARD = 10 ** 6
+# The largest exact power computed, in bits: materialized finite powers,
+# cross-power comparisons and the oracle's substitutions.
+MAX_POWER_BITS = 10 ** 6
 
-# Finite powers are materialized as exact integers up to this many bits.
-MATERIALIZE_BIT_CAP = 10 ** 6
+# The most residue classes, elements, digits or numerals listed, lifted,
+# skipped or expanded one by one, and the largest oracle point enumerated.
+MAX_ITEMS = 10 ** 6
 
 # Powers of multi-term values are unrolled into at most this many products.
 _POW_UNROLL_LIMIT = 512
@@ -95,10 +101,14 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _too_long(n: int) -> bool:
+    """|n| > MAX_DIGITS digits; an ordinary int passes on one comparison."""
+    return n.bit_length() >= _DIGIT_BOUND_BITS and abs(n) >= _DIGIT_BOUND
+
+
 def check_digits(n: int, what: str = "an integer") -> int:
-    """n itself, or RepresentationLimit when |n| has more than MAX_DIGITS
-    digits.  An ordinary int passes on one bit-length comparison."""
-    if n.bit_length() >= _DIGIT_BOUND_BITS and abs(n) >= _DIGIT_BOUND:
+    """n itself, or RepresentationLimit when |n| has more than MAX_DIGITS digits."""
+    if _too_long(n):
         raise RepresentationLimit(f"{what} has more than {MAX_DIGITS} digits")
     return n
 
@@ -110,9 +120,15 @@ def number_text(x: Union[int, Fraction]) -> str:
     if isinstance(x, Fraction) and x.denominator != 1:
         return f"{number_text(x.numerator)}/{number_text(x.denominator)}"
     n = int(x)
-    if n.bit_length() >= _DIGIT_BOUND_BITS and abs(n) >= _DIGIT_BOUND:
+    if _too_long(n):
         return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
     return str(n)
+
+
+def refuse(error: type, template: str, *numbers: Union[int, Fraction]) -> NoReturn:
+    """Raise error(template) with its {} filled by number_text of numbers;
+    a guard compares first, so text is built only on the way out."""
+    raise error(template.format(*map(number_text, numbers)))
 
 
 def _as_fraction(value) -> Fraction:
@@ -523,7 +539,7 @@ def _exponent_gap(x: ExpCount, y: ExpCount) -> Optional[int]:
 
     For two counts of one base: polynomial exponents have a gap when they
     differ by an integer, critical lengths when they share their target.
-    Callers materialize base^k, so a gap past MATERIALIZE_BIT_CAP bits is
+    Callers materialize base^k, so a gap past MAX_POWER_BITS bits is
     refused exactly when power refuses base^k.
     """
     ex, ey = x.exponent, y.exponent
@@ -533,8 +549,8 @@ def _exponent_gap(x: ExpCount, y: ExpCount) -> Optional[int]:
         k = ex.offset - ey.offset
     else:
         return None
-    if k is not None and abs(k) * x.base.bit_length() > MATERIALIZE_BIT_CAP:
-        raise ExponentTooLarge(f"{x.base}^{number_text(k)} will not be materialized")
+    if k is not None and abs(k) * x.base.bit_length() > MAX_POWER_BITS:
+        refuse(ExponentTooLarge, "{}^{} will not be materialized", x.base, k)
     return k
 
 
@@ -640,7 +656,7 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     """x^k, the one power routine behind the language's ``^`` and ``**``.
 
     A rational base takes an integer exponent, materialized exactly under
-    MATERIALIZE_BIT_CAP, or an infinite one, which yields 0, 1 or the count
+    MAX_POWER_BITS, or an infinite one, which yields 0, 1 or the count
     ``b^k`` of an integer base b >= 2.  A pure power of G takes any exponent,
     since exponents multiply.  Any other base takes finite non-negative
     integer exponents, unrolled into at most _POW_UNROLL_LIMIT products.
@@ -672,10 +688,8 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
             raise NonIntegerExponent("finite exponents must be integers")
         if r == 0 and n < 0:
             raise DivisionByZero("0 cannot be raised to a negative power")
-        if max(abs(r.numerator), r.denominator).bit_length() * abs(n) > MATERIALIZE_BIT_CAP:
-            raise ExponentTooLarge(
-                f"{number_text(r)}^{number_text(n)} will not be materialized"
-            )
+        if max(abs(r.numerator), r.denominator).bit_length() * abs(n) > MAX_POWER_BITS:
+            refuse(ExponentTooLarge, "{}^{} will not be materialized", r, n)
         return fin(r ** n)
     if n is None or n < 0:
         raise UnsupportedPower(
@@ -741,8 +755,8 @@ def _cmp_sandwich(x: ExpCount, y: GrossNumber) -> int:
             rest = _psub(rest, z)
             continue
         ref = z.exponent
-        if abs(ref.offset) * ref.base.bit_length() > _POWER_BIT_GUARD:
-            raise ExponentTooLarge("critical-length comparison exceeds the size guard")
+        if abs(ref.offset) * ref.base.bit_length() > MAX_POWER_BITS:
+            refuse(ExponentTooLarge, "critical-length comparison exceeds the size guard")
         key = (ref.base, ref.target)
         coeffs[key] = coeffs.get(key, 0) + sign_ * z.multiplier * Fraction(ref.base) ** ref.offset
         rest = _padd(rest, _pscale(z.tail, sign_))
@@ -789,8 +803,8 @@ def _cmp_scaled_power(r1: Fraction, b1: int, f: Fraction, r2: Fraction, b2: int)
     p = f.numerator
     r1, r2 = Fraction(r1), Fraction(r2)
     width = max(max(abs(r.numerator), r.denominator).bit_length() for r in (r1, r2))
-    if max(abs(p) * max(b1, b2).bit_length(), q * width) > _POWER_BIT_GUARD:
-        raise ExponentTooLarge("cross-power comparison exceeds the size guard")
+    if max(abs(p) * max(b1, b2).bit_length(), q * width) > MAX_POWER_BITS:
+        refuse(ExponentTooLarge, "cross-power comparison exceeds the size guard")
     lhs = r1 ** q * Fraction(b1) ** p
     rhs = r2 ** q * Fraction(b2) ** p
     return _sign(lhs - rhs)
@@ -800,8 +814,8 @@ def _cmp_log_leading(c1: Fraction, b1: int, c2: Fraction, b2: int) -> int:
     """Sign of c1*ln(b1) - c2*ln(b2) for positive rationals via integer powers."""
     e1 = c1.numerator * c2.denominator
     e2 = c2.numerator * c1.denominator
-    if max(e1, e2) * max(b1, b2).bit_length() > _POWER_BIT_GUARD:
-        raise ExponentTooLarge("cross-power comparison exceeds the size guard")
+    if max(e1, e2) * max(b1, b2).bit_length() > MAX_POWER_BITS:
+        refuse(ExponentTooLarge, "cross-power comparison exceeds the size guard")
     return _sign(b1 ** e1 - b2 ** e2)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
+from . import gnum
 from .errors import (
     CritRefNotSubstitutable,
     ExponentTooLarge,
@@ -34,7 +35,6 @@ from .gnum import (
     GrossPoly,
     classify,
     compare,
-    number_text,
     render_gross,
 )
 from .setmeasure import (
@@ -48,9 +48,8 @@ from .setmeasure import (
     UniverseNE,
 )
 
-# Cap on the bit length of any number produced by substitution; large enough
-# for every check in the suite, small enough to fail fast on runaway powers.
-BIT_CAP = 10 ** 6
+# a substitution computes at most gnum.MAX_POWER_BITS bits of each power
+_POWER_REFUSAL = "{}^{} exceeds the {}-bit substitution guard"
 
 # admissible_points offers these multiples of the smallest admissible point.
 POINT_MULTIPLIERS = (1, 2, 3)
@@ -88,7 +87,8 @@ def subst(x: Union[GrossNumber, CritRef], L: int) -> Fraction:
             raise NegativeExponent(
                 f"exponent of {render_gross(x)} substitutes to negative {k}"
             )
-        _guard_power_bits(x.base, k)
+        if k * x.base.bit_length() > gnum.MAX_POWER_BITS:
+            gnum.refuse(ExponentTooLarge, _POWER_REFUSAL, x.base, k, gnum.MAX_POWER_BITS)
         return x.multiplier * Fraction(x.base) ** k + _subst_poly(x.tail, L)
     if isinstance(x, CritRef):
         return Fraction(_subst_critref(x, L))
@@ -110,18 +110,11 @@ def _subst_poly(p: GrossPoly, L: int) -> Fraction:
         e = _subst_poly(exp, L)
         if e.denominator != 1:
             raise NonIntegerExponent(f"exponent {render_gross(exp)} substitutes to {e}")
-        _guard_power_bits(L, abs(int(e)))
-        power = Fraction(L) ** int(e)
-        total += coeff * power
+        e = int(e)
+        if abs(e) * L.bit_length() > gnum.MAX_POWER_BITS:
+            gnum.refuse(ExponentTooLarge, _POWER_REFUSAL, L, abs(e), gnum.MAX_POWER_BITS)
+        total += coeff * Fraction(L) ** e
     return total
-
-
-def _guard_power_bits(base: int, exponent: int) -> None:
-    if exponent * max(base, 2).bit_length() > BIT_CAP:
-        raise ExponentTooLarge(
-            f"{number_text(base)}^{number_text(exponent)} exceeds the "
-            f"{BIT_CAP}-bit substitution guard"
-        )
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,8 @@ def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
 
     L must be divisible by the canonical modulus and larger than ten times
     the largest exceptional element, so that every residue class is sampled
-    a whole number of times and corrections sit well inside the range.
+    a whole number of times and corrections sit well inside the range, and
+    at most gnum.MAX_ITEMS, the most points brute force enumerates.
     """
     return check_set(expr, expr.build(), L)
 
@@ -165,6 +159,9 @@ def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
 def check_set(expr: Union[SetExpr, SignedSet], record, L: int) -> SubstReport:
     """check_card against a given record of expr, such as the one a
     calculator value printed, rather than one rebuilt from the tree."""
+    if L > gnum.MAX_ITEMS:
+        gnum.refuse(InvalidL, "L={} exceeds the cap of {} points counted by brute force",
+                    L, gnum.MAX_ITEMS)
     parts = (record.negatives, record.positives) if isinstance(record, SignedSet) else (record,)
     for part in parts:
         if L % part.modulus != 0:

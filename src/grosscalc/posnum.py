@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
+from . import gnum
 from .errors import (
     EvalError,
     IncomparableSystems,
@@ -46,9 +47,6 @@ _DENSE_LIMIT = 10 ** 4
 
 # full digit expansion in rendering; longer strings fall back to head...tail
 _EXPAND_LIMIT = 32
-
-# a borrow across this many implicit zeros will not be materialized
-_BORROW_LIMIT = 10 ** 6
 
 Digits = Tuple[int, ...]
 
@@ -223,8 +221,8 @@ def critical(base: int, target) -> CriticalPair:
 
 
 def _materialized(x: InfNumeral, n: int) -> Digits:
-    if n > _DENSE_LIMIT and n - len(x.head) - len(x.tail) > _BORROW_LIMIT:
-        raise RepresentationLimit(f"will not expand {n} digit positions")
+    if n > _DENSE_LIMIT and n - len(x.head) - len(x.tail) > gnum.MAX_ITEMS:
+        gnum.refuse(RepresentationLimit, "will not expand {} digit positions", n)
     return x.head + (0,) * (n - len(x.head) - len(x.tail)) + x.tail
 
 
@@ -325,9 +323,9 @@ def predecessor(x: InfNumeral) -> InfNumeral:
         raise Underflow(
             "the predecessor would need infinitely many trailing nonzero digits"
         )
-    if gap > _BORROW_LIMIT:
-        raise RepresentationLimit(
-            f"the predecessor needs {gap} explicit digits of {b - 1}"
+    if gap > gnum.MAX_ITEMS:
+        gnum.refuse(
+            RepresentationLimit, "the predecessor needs {} explicit digits of {}", gap, b - 1
         )
     head = x.head[:-1] + (x.head[-1] - 1,)  # canonical heads end nonzero
     return numeral(b, x.length, head, (b - 1,) * gap, x.sign)
@@ -337,8 +335,8 @@ def enumerate_first(base: int, length, n: int):
     """The n smallest numerals of the system, in increasing order."""
     if not isinstance(n, int) or n < 1:
         raise EvalError(f"need a positive number of numerals, got {n!r}")
-    if n > 10**6:
-        raise RepresentationLimit(f"will not enumerate {n} numerals")
+    if n > gnum.MAX_ITEMS:
+        gnum.refuse(RepresentationLimit, "will not enumerate {} numerals", n)
     out = [zeros(base, length)]
     for _ in range(n - 1):
         out.append(successor(out[-1]))
@@ -346,13 +344,13 @@ def enumerate_first(base: int, length, n: int):
 
 
 def enumerate_all(base: int, length: int):
-    """Every numeral of a small finite system, in increasing order."""
+    """Every numeral of a small finite system, in increasing order; a count
+    past gnum.MAX_ITEMS, or too large to compute, is refused."""
     if not isinstance(length, int) or length < 1:
         raise EvalError(f"exhaustive enumeration needs a finite length, got {length!r}")
-    count = base ** length
-    if count > 10 ** 6:
-        raise RepresentationLimit(f"will not enumerate {count} numerals")
-    return enumerate_first(base, length, count)
+    if length * base.bit_length() > gnum.MAX_POWER_BITS:
+        gnum.refuse(RepresentationLimit, "will not enumerate {}^{} numerals", base, length)
+    return enumerate_first(base, length, base ** length)
 
 
 # rendering

@@ -23,9 +23,9 @@ Record operations cost what their residue classes cost, not the lcm of the
 moduli: intersections pair classes by the Chinese remainder theorem, unions
 and differences lift classes to the lcm, and the minimal period is found by
 stripping primes of gcd(modulus, |residues|).  Any record that would hold
-more than MAX_RESIDUES residue classes, and any progression that would skip
-more than MAX_RESIDUES elements below its start, raises RepresentationLimit
-before it is built.
+more than gnum.MAX_ITEMS residue classes, and any progression that would
+skip more than gnum.MAX_ITEMS elements below its start, raises
+RepresentationLimit before it is built.
 """
 from __future__ import annotations
 
@@ -100,20 +100,6 @@ class NatSubset:
         return f"NatSubset<{render_nat(self)}>"
 
 
-# Cap on the residue classes (and skipped elements) one record may hold.
-MAX_RESIDUES = 10 ** 6
-
-
-def _guard_size(n: int, what: str, *numbers: int) -> None:
-    """RepresentationLimit past MAX_RESIDUES; only then is ``what`` filled
-    in with the numbers, which may be too long for str()."""
-    if n > MAX_RESIDUES:
-        what = what.format(*map(gnum.number_text, numbers))
-        raise RepresentationLimit(
-            f"{what}: {gnum.number_text(n)} exceeds the cap of {MAX_RESIDUES}"
-        )
-
-
 def _prime_factors(n: int) -> Iterator[int]:
     """The distinct primes of n >= 1, by trial division."""
     p = 2
@@ -185,7 +171,10 @@ def progression(first: int, step: int) -> NatSubset:
     r = first % step
     start = r if r >= 1 else step
     # counted before any range is built: len() of a range past 2^63 overflows
-    _guard_size((first - start) // step, "elements ap({}, {}) skips below its start", first, step)
+    skipped = (first - start) // step
+    if skipped > gnum.MAX_ITEMS:
+        gnum.refuse(RepresentationLimit, "elements ap({}, {}) skips below its start: "
+                    "{} exceeds the cap of {}", first, step, skipped, gnum.MAX_ITEMS)
     # one residue has no shorter period, and every hole lies in its class
     return NatSubset(step, frozenset((r,)), frozenset(), frozenset(range(start, first, step)))
 
@@ -198,23 +187,23 @@ def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:
     theorem, in O(|Rs| + |Rt| + output); a union or difference lifts each
     class r mod m to r, r + m, ... below the lcm, in O(lifted classes).
     Exceptions cost O(|exceptions|).  A result that would hold more than
-    MAX_RESIDUES classes before canonicalization raises RepresentationLimit.
+    gnum.MAX_ITEMS classes before canonicalization raises RepresentationLimit.
     """
     ms, mt = s.modulus, t.modulus
     lift = math.lcm(ms, mt)
     if op is SetOp.INTERSECT:
         residues = _crt_intersect(s, t, lift)
     elif op is SetOp.UNION:
-        _guard_size(
-            len(s.residues) * (lift // ms) + len(t.residues) * (lift // mt),
-            "residue classes of the union at modulus {}",
-            lift,
-        )
+        size = len(s.residues) * (lift // ms) + len(t.residues) * (lift // mt)
+        if size > gnum.MAX_ITEMS:
+            gnum.refuse(RepresentationLimit, "residue classes of the union at modulus {}: "
+                        "{} exceeds the cap of {}", lift, size, gnum.MAX_ITEMS)
         residues = frozenset(_lift(s.residues, ms, lift) | _lift(t.residues, mt, lift))
     else:
-        _guard_size(
-            len(s.residues) * (lift // ms), "residue classes of the difference at modulus {}", lift
-        )
+        size = len(s.residues) * (lift // ms)
+        if size > gnum.MAX_ITEMS:
+            gnum.refuse(RepresentationLimit, "residue classes of the difference at modulus {}: "
+                        "{} exceeds the cap of {}", lift, size, gnum.MAX_ITEMS)
         residues = frozenset(x for x in _lift(s.residues, ms, lift) if x % mt not in t.residues)
     fn = _MEMBERSHIP[op]
     added, removed = [], []
@@ -241,7 +230,9 @@ def _crt_intersect(s: NatSubset, t: NatSubset, lift: int) -> FrozenSet[int]:
     for b in t.residues:
         by_class.setdefault(b % g, []).append(b)
     size = sum(len(by_class.get(a % g, ())) for a in s.residues)
-    _guard_size(size, "residue classes of the intersection at modulus {}", lift)
+    if size > gnum.MAX_ITEMS:
+        gnum.refuse(RepresentationLimit, "residue classes of the intersection at modulus {}: "
+                    "{} exceeds the cap of {}", lift, size, gnum.MAX_ITEMS)
     # x = a + ms*k with ms*k = b - a (mod mt), i.e. k = (b - a)/g * inv mod mt/g
     step = mt // g
     inv = pow(ms // g, -1, step)
@@ -255,11 +246,10 @@ def _crt_intersect(s: NatSubset, t: NatSubset, lift: int) -> FrozenSet[int]:
 def complement(s: NatSubset) -> NatSubset:
     """The complement within the naturals {1..G}: it keeps the period of s
     and swaps its exceptions, in O(modulus)."""
-    _guard_size(
-        s.modulus - len(s.residues),
-        "residue classes of the complement at modulus {}",
-        s.modulus,
-    )
+    size = s.modulus - len(s.residues)
+    if size > gnum.MAX_ITEMS:
+        gnum.refuse(RepresentationLimit, "residue classes of the complement at modulus {}: "
+                    "{} exceeds the cap of {}", s.modulus, size, gnum.MAX_ITEMS)
     residues = frozenset(range(s.modulus)) - s.residues
     return NatSubset(s.modulus, residues, s.removed, s.added)
 
@@ -280,8 +270,8 @@ def members(s: NatSubset, n: int) -> Tuple[int, ...]:
     """The n smallest members, ascending; fewer if the set runs out."""
     if n <= 0:
         return ()
-    if n > 10**6:
-        raise RepresentationLimit(f"will not list {n} members")
+    if n > gnum.MAX_ITEMS:
+        gnum.refuse(RepresentationLimit, "will not list {} members", n)
 
     def class_stream(r: int) -> Iterator[int]:
         start = r if r >= 1 else s.modulus

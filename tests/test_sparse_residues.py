@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grosscalc import cli, errors, oracle, setmeasure
+from grosscalc import cli, errors, gnum, oracle
 from grosscalc.gclang import default_env, eval_text
 from grosscalc.gnum import G
 from grosscalc.oracle import admissible_points, check_card
@@ -211,9 +211,9 @@ class TestSizeGuards:
             eval_text("ap(10^7, 2)")
 
     def test_far_start_at_the_cap(self):
-        # 1, 3, ..., 1999999: exactly MAX_RESIDUES skipped elements
-        s = progression(2 * setmeasure.MAX_RESIDUES + 1, 2)
-        assert len(s.removed) == setmeasure.MAX_RESIDUES
+        # 1, 3, ..., 1999999: exactly MAX_ITEMS skipped elements
+        s = progression(2 * gnum.MAX_ITEMS + 1, 2)
+        assert len(s.removed) == gnum.MAX_ITEMS
 
     def test_large_intersection(self):
         # 1008 * 1012 classes of the lcm survive
