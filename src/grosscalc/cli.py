@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from . import gclang, gnum, oracle
-from .errors import GrossError, InvalidL, ParseError
+from .errors import GrossError, InvalidL, ParseError, RepresentationLimit, Undetermined
 from .gclang import MeasuredSet, SignedMeasured
 
 EXIT_OK = 0
@@ -45,9 +45,24 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
 
-def _fail(json_mode: bool, kind: str, detail: str, text: str, code: int) -> int:
+def _bounds(err: GrossError) -> Optional[dict]:
+    """The sandwich bounds an Undetermined carries, rendered; None when it
+    carries none or a bound has a number too long to write."""
+    if not isinstance(err, Undetermined) or err.lower is None:
+        return None
+    try:
+        return {"lower": gnum.render_gross(err.lower), "upper": gnum.render_gross(err.upper)}
+    except RepresentationLimit:
+        return None
+
+
+def _fail(json_mode: bool, kind: str, detail: str, text: str, code: int,
+          bounds: Optional[dict] = None) -> int:
     if json_mode:
-        _emit_json({"error": {"kind": kind, "detail": detail}})
+        error = {"kind": kind, "detail": detail}
+        if bounds is not None:
+            error["bounds"] = bounds
+        _emit_json({"error": error})
     else:
         print(text, file=sys.stderr)
     return code
@@ -65,7 +80,8 @@ def run_line(line: str, env, json_mode: bool, point: Optional[int]) -> int:
     except ParseError as err:
         return _fail(json_mode, err.kind, str(err), f"syntax error: {err}", EXIT_SYNTAX)
     except GrossError as err:
-        return _fail(json_mode, err.kind, str(err), f"error[{err.kind}]: {err}", EXIT_EVAL)
+        return _fail(json_mode, err.kind, str(err), f"error[{err.kind}]: {err}", EXIT_EVAL,
+                     _bounds(err))
     except Exception as err:
         detail = f"{type(err).__name__}: {err}"
         return _fail(json_mode, "InternalError", detail, f"error[InternalError]: {detail}", EXIT_EVAL)

@@ -48,8 +48,16 @@ class Undetermined(GrossError):
     """The ordering cannot be decided within the supported closure.
 
     This is an honest first-class verdict, not a bug: some exponential
-    counts are only known through sandwich bounds.
+    counts are only known through sandwich bounds.  A comparison that the
+    sandwich left open carries the bounds it found, ``lower < x - y <= upper``
+    for x and y in the order its message names them, as ``lower`` and
+    ``upper``; any other leaves both None.
     """
+
+    def __init__(self, message: str, lower=None, upper=None):
+        super().__init__(message)
+        self.lower = lower
+        self.upper = upper
 
 
 # finite-substitution oracle

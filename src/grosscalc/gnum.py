@@ -18,6 +18,16 @@ raise an error from :mod:`grosscalc.errors` instead of approximating, and
 comparisons the closure cannot decide raise :class:`Undetermined` rather than
 guessing.
 
+Each GrossPoly stores what canonicalization asks of it again and again, so
+that no question walks its nested terms twice: its exponent depth, computed
+at construction from its exponents' stored depths; its hash, computed on
+first use; and an order key, a nested tuple built on first use that orders
+exactly as the values do, so ``_canon`` sorts by it and ``_cmp_poly`` is one
+tuple comparison.  The facts live on the value and go with it: there is no
+table of values and no memo that outlives an operation.  A product of two
+terms whose exponents are both rational adds the exponents as rationals, not
+as polynomials.
+
 Exponential counts relate to one another through three rules, one function
 each, and each refuses with ExponentTooLarge a power it will not compute:
 
@@ -38,7 +48,6 @@ assignment moves them all, and raise through ``refuse``.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -190,15 +199,28 @@ class GrossPoly(_Arithmetic):
     strictly decreasing exponent with no zero coefficients; the empty tuple
     is zero.  Build values through :func:`make_poly`, :func:`fin` or the
     arithmetic operators rather than the raw constructor.
+
+    Every constructor call computes the exponent depth from the exponents'
+    stored ``_depth`` and refuses one past ``MAX_EXPONENT_DEPTH``.  The hash
+    and the order keys of the value and of its negation are built on first
+    use and kept on the value: many values, such as the finite counts of set
+    measurement, are never hashed or ordered.
     """
 
     terms: Tuple[Tuple[Fraction, "GrossPoly"], ...] = ()
 
+    # filled in on first use by __hash__, _order_key and _order_neg_key
+    _hash = None
+    _key = None
+    _neg_key = None
+
     def __post_init__(self):
-        if _depth(self) > MAX_EXPONENT_DEPTH:
+        depth = 1 + max([exp._depth for _, exp in self.terms]) if self.terms else 0
+        if depth > MAX_EXPONENT_DEPTH:
             raise DepthLimitExceeded(
                 f"exponent nesting deeper than {MAX_EXPONENT_DEPTH} is not supported"
             )
+        object.__setattr__(self, "_depth", depth)
 
     # structure probes
 
@@ -252,16 +274,14 @@ class GrossPoly(_Arithmetic):
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.terms)
+        h = self._hash
+        if h is None:
+            h = hash(self.terms)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __bool__(self):
         return bool(self.terms)
-
-
-def _depth(p: GrossPoly) -> int:
-    if not p.terms:
-        return 0
-    return 1 + max(_depth(exp) for _, exp in p.terms)
 
 
 ZERO = GrossPoly()
@@ -296,42 +316,62 @@ def _canon(pairs) -> GrossPoly:
     for coeff, exp in pairs:
         coeff = _as_fraction(coeff)
         if coeff:
-            acc[exp] = acc.get(exp, Fraction(0)) + coeff
+            acc[exp] = acc[exp] + coeff if exp in acc else coeff
     items = [(coeff, exp) for exp, coeff in acc.items() if coeff]
-    items.sort(
-        key=functools.cmp_to_key(lambda a, b: _cmp_poly(a[1], b[1])), reverse=True
-    )
+    items.sort(key=lambda term: _order_key(term[1]), reverse=True)
     return GrossPoly(tuple(items))
 
 
-def _cmp_poly(x: GrossPoly, y: GrossPoly) -> int:
-    """Total order on polynomial values: sign of x - y.
+# closes every order key: a value that runs out of terms compares below a
+# positive next term and above a negative one, as zero does
+_KEY_END = (0,)
 
-    Walks both term lists at once: a larger leading exponent means that term
-    dominates, so its coefficient sign decides; equal exponents compare
-    coefficients and then recurse on the remainders.
+
+def _order_key(p: GrossPoly) -> tuple:
+    """A tuple that orders as p does among polynomial values, built once.
+
+    Term (c, e) becomes (sign c, key of e if c > 0 else key of -e, c),
+    mirroring a walk down both term lists: at the first term that differs,
+    a positive term against a negative one decides at once; between two
+    terms of one sign the larger exponent dominates, which makes a positive
+    value larger and a negative one smaller (hence the key of -e); equal
+    exponents leave the coefficients to decide.
     """
-    if x.terms == y.terms:
+    key = p._key
+    if key is None:
+        key = (
+            *[
+                (1, _order_key(e), c) if c > 0 else (-1, _order_neg_key(e), c)
+                for c, e in p.terms
+            ],
+            _KEY_END,
+        )
+        object.__setattr__(p, "_key", key)
+    return key
+
+
+def _order_neg_key(p: GrossPoly) -> tuple:
+    """_order_key of -p, built from p without negating it: the terms of -p
+    are (-c, e)."""
+    key = p._neg_key
+    if key is None:
+        key = (
+            *[
+                (1, _order_key(e), -c) if c < 0 else (-1, _order_neg_key(e), -c)
+                for c, e in p.terms
+            ],
+            _KEY_END,
+        )
+        object.__setattr__(p, "_neg_key", key)
+    return key
+
+
+def _cmp_poly(x: GrossPoly, y: GrossPoly) -> int:
+    """Total order on polynomial values: sign of x - y, by their order keys."""
+    if x is y:
         return 0
-    xi, yi = x.terms, y.terms
-    i = 0
-    while True:
-        tx = xi[i] if i < len(xi) else None
-        ty = yi[i] if i < len(yi) else None
-        if tx is None and ty is None:
-            return 0
-        if tx is None:
-            return -_sign(ty[0])
-        if ty is None:
-            return _sign(tx[0])
-        ce = _cmp_poly(tx[1], ty[1])
-        if ce > 0:
-            return _sign(tx[0])
-        if ce < 0:
-            return -_sign(ty[0])
-        if tx[0] != ty[0]:
-            return _sign(tx[0] - ty[0])
-        i += 1
+    kx, ky = _order_key(x), _order_key(y)
+    return (kx > ky) - (kx < ky)
 
 
 def _padd(x: GrossPoly, y: GrossPoly) -> GrossPoly:
@@ -355,9 +395,13 @@ def _pscale(x: GrossPoly, factor: Fraction) -> GrossPoly:
 
 def _pmul(x: GrossPoly, y: GrossPoly) -> GrossPoly:
     acc = []
+    ys = [(cy, ey, ey.as_rational()) for cy, ey in y.terms]
     for cx, ex in x.terms:
-        for cy, ey in y.terms:
-            acc.append((cx * cy, _padd(ex, ey)))
+        rx = ex.as_rational()
+        for cy, ey, ry in ys:
+            # a sum of two rational exponents needs no canonicalization
+            exp = fin(rx + ry) if rx is not None and ry is not None else _padd(ex, ey)
+            acc.append((cx * cy, exp))
     return _canon(acc)
 
 
@@ -772,7 +816,9 @@ def _cmp_sandwich(x: ExpCount, y: GrossNumber) -> int:
     if _cmp_poly(upper, ZERO) <= 0:
         return -1
     raise Undetermined(
-        f"{render_gross(x)} vs {render_gross(y)} is not resolvable from the sandwich"
+        f"{render_gross(x)} vs {render_gross(y)} is not resolvable from the sandwich",
+        lower,
+        upper,
     )
 
 

@@ -56,13 +56,24 @@ POINT_MULTIPLIERS = (1, 2, 3)
 
 
 def int_log_floor(base: int, n: int) -> int:
-    """Exact floor(log_base(n)) for integers n >= 1, base >= 2."""
+    """Exact floor(log_base(n)) for integers n >= 1, base >= 2.
+
+    The powers base^(2^i) up to n come by repeated squaring; a descending
+    search then keeps each one whose product with those kept stays <= n.
+    That is O(log k) multiplications and no division.
+    """
     if n < 1:
         raise CritRefNotSubstitutable(f"integer logarithm of {n} is undefined")
-    k = 0
-    while n >= base:
-        n //= base
-        k += 1
+    squares = []
+    power = base
+    while power <= n:
+        squares.append(power)
+        power *= power
+    k, kept = 0, 1
+    for i in range(len(squares) - 1, -1, -1):
+        trial = kept * squares[i]
+        if trial <= n:
+            k, kept = k + (1 << i), trial
     return k
 
 

@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from grosscalc import cli, gclang
+
 
 def gc(*args, stdin=None):
     return subprocess.run(
@@ -52,6 +56,18 @@ class TestEval:
         r = gc("eval", "numerals(10, crit(10, G)) < G/2", "--json")
         assert r.returncode == 1
         assert json.loads(r.stdout)["error"]["kind"] == "Undetermined"
+
+    def test_undetermined_json_carries_the_sandwich_bounds(self):
+        r = gc("eval", "numerals(10, crit(10, G)) < G/2", "--json")
+        assert json.loads(r.stdout)["error"] == {
+            "kind": "Undetermined",
+            "detail": "10^crit(10, G) vs G/2 is not resolvable from the sandwich",
+            "bounds": {"lower": "-2*G/5", "upper": "G/2"},
+        }
+        r = gc("eval", "numerals(10, crit(10, G)) < G/2")
+        assert r.stderr == (
+            "error[Undetermined]: 10^crit(10, G) vs G/2 is not resolvable from the sandwich\n"
+        )
 
     def test_oracle_flag_appends_brute_check(self):
         r = gc("--oracle", "L=27720", "eval", "card({3,4,5,69} | (ap(4,5) & ap(3,11)))")
@@ -125,3 +141,29 @@ class TestRepl:
         assert r.returncode == 0
         assert "2" in r.stdout
         assert "DivisionByZero" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "line, bounds",
+    [
+        ("numerals(10, crit(10, G) + 2) < numerals(10, crit(10, 3*G) + 1)",
+         {"lower": "-20*G", "upper": "97*G"}),
+        ("G/2 > numerals(10, crit(10, G))", {"lower": "-2*G/5", "upper": "G/2"}),
+        # tied at leading order: no sandwich was built
+        ("numerals(2, G) < numerals(4, G/2 + 1/3)", None),
+        # bounds with 5000-digit coefficients cannot be written
+        ("numerals(10, crit(10, G) + 5000) < numerals(10, crit(10, 3*G) + 4999)", None),
+    ],
+)
+def test_undetermined_bounds_in_json(line, bounds, capsys):
+    assert cli.run_line(line, gclang.default_env(), json_mode=True, point=None) == cli.EXIT_EVAL
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "Undetermined"
+    assert error.get("bounds") == bounds
+    assert set(error) == {"kind", "detail"} | ({"bounds"} if bounds else set())
+
+
+@pytest.mark.parametrize("line", ["G/0", "2^G - 3^G", "2^20000", "card(", "members(N)"])
+def test_other_errors_keep_kind_and_detail_only(line, capsys):
+    assert cli.run_line(line, gclang.default_env(), json_mode=True, point=None) != cli.EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)["error"]) == {"kind", "detail"}

@@ -29,7 +29,7 @@ from grosscalc.gnum import (
     pow_count,
     sub,
 )
-from grosscalc.oracle import check_order
+from grosscalc.oracle import check_order, subst
 
 # Even points whose targets below (c*L, c*L + d, L^2) are powers of no base in
 # play, so the inclusive side of the sandwich is strict at every one of them.
@@ -98,12 +98,40 @@ def test_decided_sandwich_verdicts_hold_under_substitution(pair):
     assert report.match, str(report)
 
 
+@given(sandwich_pairs())
+@settings(max_examples=200, deadline=None)
+def test_undetermined_bounds_hold_under_substitution(pair):
+    x, y = pair
+    try:
+        compare(x, y)
+        return
+    except errors.Undetermined as err:
+        lower, upper = err.lower, err.upper
+    # the bounds are on the critical side minus the other, as the message
+    # names them
+    first, second = (y, x) if not isinstance(x, ExpCount) else (x, y)
+    for point in POINTS:
+        diff = subst(first, point) - subst(second, point)
+        assert subst(lower, point) <= diff <= subst(upper, point)
+
+
 class TestSandwich:
     def test_undetermined_names_the_critical_side_first(self):
         k1 = pow_count(10, CritRef(10, G, 0))
         with pytest.raises(errors.Undetermined) as info:
             compare(G / 2, k1)
         assert str(info.value) == "10^crit(10, G) vs G/2 is not resolvable from the sandwich"
+
+    def test_undetermined_carries_the_bounds_on_the_difference(self):
+        # 10^crit(10, G) - G/2 lies in (G/10 - G/2, G - G/2]
+        with pytest.raises(errors.Undetermined) as info:
+            compare(G / 2, pow_count(10, CritRef(10, G, 0)))
+        assert (info.value.lower, info.value.upper) == (-2 * G / 5, G / 2)
+
+    def test_cross_base_undetermined_carries_no_bounds(self):
+        with pytest.raises(errors.Undetermined) as info:
+            compare(pow_count(4, G + 1), pow_count(2, 2 * G + 3))
+        assert (info.value.lower, info.value.upper) == (None, None)
 
     def test_cancelling_coefficients_leave_the_tails(self):
         # 10 * 10^crit(10, G) is 10^(crit(10, G) + 1), whatever crit is

@@ -3,13 +3,14 @@
 Derived expectations are frozen from the finite-substitution oracle: each
 identity is checked both structurally and numerically at G := 10**6.
 """
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grosscalc import errors
+from grosscalc import errors, gclang, gnum
 from grosscalc.gnum import (
     Classification,
     CritRef,
@@ -65,6 +66,23 @@ class TestConstruction:
             x = gterm(1, x)
         with pytest.raises(errors.DepthLimitExceeded):
             gterm(1, x)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda e: make_poly([(Fraction(1), e)]),
+            lambda e: gterm(1, e),
+            lambda e: GrossPoly(((Fraction(1), e),)),
+        ],
+        ids=["make_poly", "gterm", "constructor"],
+    )
+    def test_nine_level_tower_refused_by_every_builder(self, build):
+        tower = ONE
+        for _ in range(7):
+            tower = build(tower)  # 8 levels: the deepest allowed
+        assert render_gross(tower) == "G^(" * 6 + "G" + ")" * 6
+        with pytest.raises(errors.DepthLimitExceeded):
+            build(tower)
 
 
 class TestAddition:
@@ -160,6 +178,23 @@ class TestMultiplication:
     def test_cross_base_product_refused(self):
         with pytest.raises(errors.UnsupportedProduct):
             mul(pow_count(2, G), pow_count(3, G))
+
+
+class TestRationalExponentSums:
+    def test_all_rational_exponents_canonicalize_once(self, monkeypatch):
+        x = G ** 2 - 3 * G + Fraction(1, 2) + G ** -1
+        y = 2 * G - 5 + gterm(Fraction(-1, 3), fin(Fraction(-1, 2)))
+        expected = mul(x, y)
+        calls = []
+        canon = gnum._canon
+
+        def counting(pairs):
+            calls.append(1)
+            return canon(pairs)
+
+        monkeypatch.setattr(gnum, "_canon", counting)
+        assert gnum._pmul(x, y) == expected
+        assert len(calls) == 1
 
 
 class TestDivision:
@@ -446,3 +481,94 @@ def test_substitution_is_additive(x, y):
 @settings(max_examples=100)
 def test_substitution_is_multiplicative(x, y):
     assert subst(mul(x, y), L) == subst(x, L) * subst(y, L)
+
+
+# the order key against the term-by-term walk it replaced
+
+
+def reference_cmp_poly(x: GrossPoly, y: GrossPoly) -> int:
+    """Sign of x - y by walking both term lists at once: a larger exponent
+    means its term dominates, so its coefficient sign decides; equal
+    exponents compare coefficients and then the remainders."""
+    if x.terms == y.terms:
+        return 0
+    xi, yi = x.terms, y.terms
+    i = 0
+    while True:
+        tx = xi[i] if i < len(xi) else None
+        ty = yi[i] if i < len(yi) else None
+        if tx is None and ty is None:
+            return 0
+        if tx is None:
+            return -_sign(ty[0])
+        if ty is None:
+            return _sign(tx[0])
+        ce = reference_cmp_poly(tx[1], ty[1])
+        if ce > 0:
+            return _sign(tx[0])
+        if ce < 0:
+            return -_sign(ty[0])
+        if tx[0] != ty[0]:
+            return _sign(tx[0] - ty[0])
+        i += 1
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+# few distinct values, so that exponents and leading terms often tie
+mixed_coeffs = st.sampled_from([Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2)])
+rational_values = st.fractions(min_value=-2, max_value=2, max_denominator=2).map(fin)
+
+
+def polys_with(exps):
+    return st.lists(st.tuples(mixed_coeffs, exps), max_size=4).map(make_poly)
+
+
+# exponent depth <= 3: rational exponents, powers of G, and sums of both
+depth2 = polys_with(rational_values)
+deep_exps = st.one_of(rational_values, rational_values.map(lambda e: gterm(1, e)), depth2)
+deep_polys = polys_with(deep_exps)
+
+
+@st.composite
+def deep_pairs(draw):
+    """Two depth <= 3 values; half the time the second is the first plus
+    one term, so that the two share a prefix."""
+    x = draw(deep_polys)
+    if draw(st.booleans()):
+        return x, draw(deep_polys)
+    return x, add(x, make_poly([(draw(mixed_coeffs), draw(deep_exps))]))
+
+
+@given(deep_pairs())
+@settings(max_examples=400)
+def test_order_key_agrees_with_the_walk(pair):
+    x, y = pair
+    assert gnum._cmp_poly(x, y) == reference_cmp_poly(x, y)
+
+
+@given(deep_pairs())
+@settings(max_examples=100)
+def test_order_key_is_antisymmetric(pair):
+    x, y = pair
+    assert gnum._cmp_poly(x, y) == -gnum._cmp_poly(y, x)
+
+
+@given(st.lists(st.tuples(mixed_coeffs, deep_exps), max_size=8))
+@settings(max_examples=200)
+def test_make_poly_orders_terms_as_the_walk(pairs):
+    exps = [e for _, e in make_poly(pairs).terms]
+    assert exps == sorted(exps, key=functools.cmp_to_key(reference_cmp_poly), reverse=True)
+
+
+@given(deep_polys)
+@settings(max_examples=100)
+def test_equal_values_hash_equal(x):
+    counted = gclang.eval_text("ap(1, 2)")
+    rebuilt = make_poly(reversed(x.terms))
+    assert rebuilt is not x
+    hash(x)  # one side caches its hash first
+    for twin in (rebuilt, GrossPoly(x.terms), gclang.SetCount(x.terms, source=counted)):
+        assert twin == x and hash(twin) == hash(x)

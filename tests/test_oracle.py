@@ -5,6 +5,7 @@ symbolic identity into ordinary rational arithmetic that can be checked with
 no reference to the calculator's own rules.
 """
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,26 @@ class TestIntLogFloor:
     def test_matches_digit_count(self):
         for n in range(1, 2000):
             assert int_log_floor(10, n) == len(str(n)) - 1
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 10, 16])
+    def test_matches_repeated_division_around_powers(self, base):
+        def by_division(n):
+            k = 0
+            while n >= base:
+                n //= base
+                k += 1
+            return k
+
+        for k in range(201):
+            for n in (base ** k - 1, base ** k, base ** k + 1):
+                if n >= 1:
+                    assert int_log_floor(base, n) == by_division(n)
+
+    def test_long_targets_are_fast(self):
+        start = time.perf_counter()
+        assert int_log_floor(2, 1000 ** 20000) == 199315
+        assert int_log_floor(10, 10 ** 100000 - 1) == 99999
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSubst:
