@@ -161,21 +161,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    # the subcommand form of --oracle only overrides the global one when
-    # actually present, hence SUPPRESS rather than a None default
-    p_eval = sub.add_parser("eval", help="evaluate one expression")
+    # the options eval and run share; the subcommand form of --oracle only
+    # overrides the global one when actually present, hence SUPPRESS rather
+    # than a None default
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true")
+    output.add_argument(
+        "--oracle", type=_parse_oracle_flag, metavar="L=N", default=argparse.SUPPRESS
+    )
+    p_eval = sub.add_parser("eval", parents=[output], help="evaluate one expression")
     p_eval.add_argument("expression")
-    p_eval.add_argument("--json", action="store_true")
-    p_eval.add_argument(
-        "--oracle", type=_parse_oracle_flag, metavar="L=N", default=argparse.SUPPRESS
-    )
-
-    p_run = sub.add_parser("run", help="run a script, one expression per line")
+    p_run = sub.add_parser("run", parents=[output], help="run a script, one expression per line")
     p_run.add_argument("path")
-    p_run.add_argument("--json", action="store_true")
-    p_run.add_argument(
-        "--oracle", type=_parse_oracle_flag, metavar="L=N", default=argparse.SUPPRESS
-    )
 
     p_check = sub.add_parser("check", help="random symbolic-vs-brute sweep")
     p_check.add_argument("--seed", type=int, default=2026)

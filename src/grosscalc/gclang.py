@@ -23,6 +23,13 @@ not a recursion.  A long chain such as 1 - 1 - ... - 1 nests one level.
 The `fields` block is a brace-suffixed record accepted only by `num`,
 carrying digit strings: num(10, G){head: "", tail: "1", sign: "-"}.
 
+Calls are one table, _CALLS, with one row per call: the library call, then
+one (check, what, minimum) triple per argument, so a row's arity is its
+number of triples.  A call evaluates all its arguments first, then runs the
+checks in argument order; a check names its argument (what) in the error it
+raises, bounds an integer below (minimum), and returns the value the library
+call receives, followed by num's field pairs.
+
 Evaluation produces plain library values plus set values.  Every set
 value is dual-route: one private base carries the set both as its
 canonical residue record and as the expression tree it was built from,
@@ -440,17 +447,22 @@ def default_env() -> Dict[str, Value]:
 _BUILTINS = frozenset(default_env()) | {"let"}
 
 
-# argument validation helpers; every message names the offending argument
+# argument checks: (value, what, minimum) -> the value the call receives
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (GrossPoly, ExpCount))
 
 
-def _want_number(v, what: str) -> GrossNumber:
+def _want_number(v, what: str, minimum=None) -> GrossNumber:
     if not _is_number(v):
         raise EvalError(f"{what} must be a count, got {type_tag(v)}")
     return v
+
+
+def _want_length(v, what: str, minimum=None) -> Union[GrossNumber, CritRef]:
+    """A count, or a critical length passed through as it is."""
+    return v if isinstance(v, CritRef) else _want_number(v, what)
 
 
 def _want_int(v, what: str, minimum: Optional[int] = None) -> int:
@@ -463,23 +475,38 @@ def _want_int(v, what: str, minimum: Optional[int] = None) -> int:
     return n
 
 
-def _want_nat_set(v, what: str) -> MeasuredSet:
+def _want_set(v, what: str, minimum=None) -> _DualRoute:
+    if not isinstance(v, _DualRoute):
+        raise EvalError(f"{what} expects a set, got {type_tag(v)}")
+    return v
+
+
+def _want_nat_set(v, what: str, minimum=None) -> MeasuredSet:
     if isinstance(v, SignedMeasured):
         raise EvalError(f"{what} must be a subset of N, not of Z")
     if not isinstance(v, MeasuredSet):
         raise EvalError(f"{what} must be a set, got {type_tag(v)}")
     return v
 
-def _want_numeral(v, what: str) -> posnum.InfNumeral:
+
+def _want_numeral(v, what: str, minimum=None) -> posnum.InfNumeral:
     if not isinstance(v, posnum.InfNumeral):
         raise EvalError(f"{what} must be a numeral, got {type_tag(v)}")
     return v
 
 
-def _want_system(v) -> CountingSystem:
+def _want_system(v, what=None, minimum=None) -> CountingSystem:
     if not isinstance(v, CountingSystem):
         raise EvalError(f"expected a counting system, got {type_tag(v)}")
     return v
+
+
+def _want_weak_operand(v, what=None, minimum=None):
+    if isinstance(v, Observation):
+        return v.token
+    if isinstance(v, (ExactToken, NamedToken)) or _is_number(v):
+        return v
+    raise EvalError(f"expected a numeral token or count, got {type_tag(v)}")
 
 
 def _as_signed(v: _DualRoute) -> SignedMeasured:
@@ -497,109 +524,7 @@ def _digit_tuple(text: str, what: str) -> Tuple[int, ...]:
     return tuple(out)
 
 
-# call dispatch; arity is checked before evaluation reaches the handlers
-
-
-def _call_card(s):
-    if isinstance(s, _DualRoute):
-        return SetCount(s.record.card().terms, source=s)
-    raise EvalError(f"card expects a set, got {type_tag(s)}")
-
-
-def _call_members(s, n):
-    s = _want_nat_set(s, "the first argument of members")
-    return setmeasure.members(s.record, _want_int(n, "the member count", minimum=1))
-
-
-def _call_prodcard(s, t):
-    s = _want_nat_set(s, "the first argument of prodcard")
-    t = _want_nat_set(t, "the second argument of prodcard")
-    return setmeasure.product_card(s.record, t.record)
-
-
-def _call_ap(first, step):
-    a = _want_int(first, "the progression start", minimum=1)
-    d = _want_int(step, "the progression step", minimum=1)
-    return MeasuredSet(setmeasure.progression(a, d), ProgressionE(a, d))
-
-
-def _call_mirror(s):
-    s = _want_nat_set(s, "the argument of mirror")
-    return SignedMeasured(setmeasure.mirror_signed(s.record), setmeasure.mirror_signed(s.expr))
-
-
-def _call_numerals(base, length):
-    b = _want_int(base, "the numeral base", minimum=2)
-    if isinstance(length, CritRef):
-        return gnum.pow_count(b, length)
-    return posnum.numeral_count(b, _want_number(length, "the digit length"))
-
-
-def _call_signedcount(base):
-    return posnum.signed_line_count(_want_int(base, "the numeral base", minimum=2))
-
-
-def _call_floatcount(base):
-    return posnum.float_count(_want_int(base, "the numeral base", minimum=2))
-
-
-def _call_critical(base, target):
-    b = _want_int(base, "the numeral base", minimum=2)
-    return posnum.critical(b, _want_number(target, "the target count"))
-
-
-def _call_crit(base, target):
-    return _call_critical(base, target).k1
-
-
-def _call_succ(x):
-    return posnum.successor(_want_numeral(x, "the argument of succ"))
-
-
-def _call_pred(x):
-    return posnum.predecessor(_want_numeral(x, "the argument of pred"))
-
-
-def _call_first(base, length, n):
-    b = _want_int(base, "the numeral base", minimum=2)
-    length = _want_number(length, "the digit length")
-    n = _want_int(n, "the chain length", minimum=1)
-    return posnum.enumerate_first(b, length, n)
-
-
-def _call_observe(sys, v):
-    return observer.observe(_want_system(sys), _want_number(v, "the observed count"))
-
-
-def _weak_operand(v):
-    if isinstance(v, Observation):
-        return v.token
-    if isinstance(v, (ExactToken, NamedToken)) or _is_number(v):
-        return v
-    raise EvalError(f"expected a numeral token or count, got {type_tag(v)}")
-
-
-def _call_wadd(sys, a, b):
-    return observer.weak_add(_want_system(sys), _weak_operand(a), _weak_operand(b))
-
-
-def _call_distinct(sys, u, v):
-    return observer.distinguishable(
-        _want_system(sys),
-        _want_number(u, "the first count"),
-        _want_number(v, "the second count"),
-    )
-
-
-def _call_subst(x, point):
-    if not isinstance(x, CritRef):
-        x = _want_number(x, "the expression to substitute")
-    return fin(oracle.subst(x, _want_int(point, "the substitution point", minimum=1)))
-
-
 def _call_num(base, length, *fields):
-    base = _want_int(base, "the numeral base", minimum=2)
-    length = _want_number(length, "the digit length")
     head: Tuple[int, ...] = ()
     tail: Tuple[int, ...] = ()
     sign = ""
@@ -617,26 +542,46 @@ def _call_num(base, length, *fields):
     return posnum.numeral(base, length, head=head, tail=tail, sign=sign)
 
 
-# handlers take the evaluated arguments, then the call's field pairs
+# one row per call, see the module docstring; each library function is
+# looked up at call time, like every other call into the library
+_BASE = (_want_int, "the numeral base", 2)
+_LENGTH = (_want_number, "the digit length", None)
+_TARGET = (_want_number, "the target count", None)
+_SYSTEM = (_want_system, None, None)
+_WEAK = (_want_weak_operand, None, None)
 _CALLS = {
-    "card": (1, _call_card),
-    "members": (2, _call_members),
-    "prodcard": (2, _call_prodcard),
-    "ap": (2, _call_ap),
-    "mirror": (1, _call_mirror),
-    "numerals": (2, _call_numerals),
-    "signedcount": (1, _call_signedcount),
-    "floatcount": (1, _call_floatcount),
-    "critical": (2, _call_critical),
-    "crit": (2, _call_crit),
-    "num": (2, _call_num),
-    "succ": (1, _call_succ),
-    "pred": (1, _call_pred),
-    "first": (3, _call_first),
-    "observe": (2, _call_observe),
-    "wadd": (3, _call_wadd),
-    "distinct": (3, _call_distinct),
-    "subst": (2, _call_subst),
+    "card": (lambda s: SetCount(s.record.card().terms, source=s), (_want_set, "card", None)),
+    "members": (lambda s, n: setmeasure.members(s.record, n),
+                (_want_nat_set, "the first argument of members", None),
+                (_want_int, "the member count", 1)),
+    "prodcard": (lambda s, t: setmeasure.product_card(s.record, t.record),
+                 (_want_nat_set, "the first argument of prodcard", None),
+                 (_want_nat_set, "the second argument of prodcard", None)),
+    "ap": (lambda a, d: MeasuredSet(setmeasure.progression(a, d), ProgressionE(a, d)),
+           (_want_int, "the progression start", 1), (_want_int, "the progression step", 1)),
+    "mirror": (lambda s: SignedMeasured(setmeasure.mirror_signed(s.record),
+                                        setmeasure.mirror_signed(s.expr)),
+               (_want_nat_set, "the argument of mirror", None)),
+    "numerals": (lambda b, n: gnum.pow_count(b, n) if isinstance(n, CritRef)
+                 else posnum.numeral_count(b, n),
+                 _BASE, (_want_length, "the digit length", None)),
+    "signedcount": (lambda b: posnum.signed_line_count(b), _BASE),
+    "floatcount": (lambda b: posnum.float_count(b), _BASE),
+    "critical": (lambda b, m: posnum.critical(b, m), _BASE, _TARGET),
+    "crit": (lambda b, m: posnum.critical(b, m).k1, _BASE, _TARGET),
+    "num": (_call_num, _BASE, _LENGTH),
+    "succ": (lambda x: posnum.successor(x), (_want_numeral, "the argument of succ", None)),
+    "pred": (lambda x: posnum.predecessor(x), (_want_numeral, "the argument of pred", None)),
+    "first": (lambda b, n, k: posnum.enumerate_first(b, n, k),
+              _BASE, _LENGTH, (_want_int, "the chain length", 1)),
+    "observe": (lambda sys, c: observer.observe(sys, c),
+                _SYSTEM, (_want_number, "the observed count", None)),
+    "wadd": (lambda sys, a, b: observer.weak_add(sys, a, b), _SYSTEM, _WEAK, _WEAK),
+    "distinct": (lambda sys, u, v: observer.distinguishable(sys, u, v), _SYSTEM,
+                 (_want_number, "the first count", None), (_want_number, "the second count", None)),
+    "subst": (lambda x, point: fin(oracle.subst(x, point)),
+              (_want_length, "the expression to substitute", None),
+              (_want_int, "the substitution point", 1)),
 }
 
 
@@ -784,15 +729,20 @@ def evaluate(ast: Ast, env: Dict[str, Value]) -> Value:
     if isinstance(ast, SetLit):
         return _eval_set_literal([evaluate(e, env) for e in ast.elems])
     if isinstance(ast, Call):
-        if ast.func not in _CALLS:
+        row = _CALLS.get(ast.func)
+        if row is None:
             raise UnboundIdentifier(f"unknown function {ast.func!r}")
-        arity, handler = _CALLS[ast.func]
+        arity = len(row) - 1
         if len(ast.args) != arity:
             raise EvalError(
                 f"{ast.func} takes {arity} argument{'s' if arity != 1 else ''}, "
                 f"got {len(ast.args)}"
             )
-        return handler(*[evaluate(a, env) for a in ast.args], *ast.fields)
+        values = [evaluate(a, env) for a in ast.args]
+        for i in range(arity):
+            check, what, minimum = row[i + 1]
+            values[i] = check(values[i], what, minimum)
+        return row[0](*values, *ast.fields)
     raise EvalError(f"unexpected syntax node {ast!r}")
 
 

@@ -134,6 +134,16 @@ def number_text(x: Union[int, Fraction]) -> str:
     return str(n)
 
 
+def count_text(x: GrossNumber) -> str:
+    """render_gross(x) for a message, except that a count holding a number
+    past MAX_DIGITS digits is named without its numbers, so the message
+    keeps the kind of the error it explains."""
+    try:
+        return render_gross(x)
+    except RepresentationLimit:
+        return f"<a count with a number past {MAX_DIGITS} digits>"
+
+
 def refuse(error: type, template: str, *numbers: Union[int, Fraction]) -> NoReturn:
     """Raise error(template) with its {} filled by number_text of numbers;
     a guard compares first, so text is built only on the way out."""
@@ -711,7 +721,7 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
         exponent = mul(x.terms[0][1], k)
         if not isinstance(exponent, GrossPoly):
             raise UnsupportedPower(
-                f"power {render_gross(k)} of {render_gross(x)} leaves the gross polynomials"
+                f"power {count_text(k)} of {count_text(x)} leaves the gross polynomials"
             )
         return gterm(1, exponent)
     r = x.as_rational() if isinstance(x, GrossPoly) else None
@@ -724,7 +734,7 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
         if r.denominator == 1 and r >= 2:
             return pow_count(int(r), k)
         raise UnsupportedPower(
-            f"{render_gross(x)} has no closed power for an infinite exponent"
+            f"{count_text(x)} has no closed power for an infinite exponent"
         )
     n = k.as_int() if finite else None
     if r is not None:
@@ -737,11 +747,11 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
         return fin(r ** n)
     if n is None or n < 0:
         raise UnsupportedPower(
-            f"{render_gross(x)} only takes finite non-negative integer powers"
+            f"{count_text(x)} only takes finite non-negative integer powers"
         )
     if n > _POW_UNROLL_LIMIT:
         raise ExponentTooLarge(
-            f"power {number_text(n)} of {render_gross(x)} will not be unrolled"
+            f"power {number_text(n)} of {count_text(x)} will not be unrolled"
         )
     out = ONE
     for _ in range(n):
@@ -816,7 +826,7 @@ def _cmp_sandwich(x: ExpCount, y: GrossNumber) -> int:
     if _cmp_poly(upper, ZERO) <= 0:
         return -1
     raise Undetermined(
-        f"{render_gross(x)} vs {render_gross(y)} is not resolvable from the sandwich",
+        f"{count_text(x)} vs {count_text(y)} is not resolvable from the sandwich",
         lower,
         upper,
     )
@@ -885,7 +895,7 @@ def _cmp_cross_base(x: ExpCount, y: ExpCount) -> int:
     ry = GrossPoly(py.terms[1:])
     if rx != ry:
         raise Undetermined(
-            f"{render_gross(x)} vs {render_gross(y)}: tied at leading order with "
+            f"{count_text(x)} vs {count_text(y)}: tied at leading order with "
             "different exponent remainders"
         )
     return _cmp_remainder(x, y, rx, x.base, y.base)

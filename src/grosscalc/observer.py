@@ -26,6 +26,7 @@ from .gnum import (
     GrossPoly,
     Ordering,
     classify,
+    count_text,
     fin,
     render_gross,
 )
@@ -88,11 +89,11 @@ def _as_count(v) -> GrossNumber:
         v = fin(v)
     kind = classify(v)
     if kind in (Classification.FINITE_NEGATIVE, Classification.INFINITE_NEGATIVE):
-        raise NegativeCount(f"{render_gross(v)} is not a count")
+        raise NegativeCount(f"{count_text(v)} is not a count")
     if kind is Classification.INFINITESIMAL:
-        raise NonIntegralCount(f"{render_gross(v)} is not a whole count")
+        raise NonIntegralCount(f"{count_text(v)} is not a whole count")
     if kind is Classification.FINITE_POSITIVE and v.as_int() is None:
-        raise NonIntegralCount(f"{render_gross(v)} is not a whole count")
+        raise NonIntegralCount(f"{count_text(v)} is not a whole count")
     return v
 
 
@@ -170,7 +171,7 @@ def _require_member(sys: CountingSystem, t) -> Token:
         raise ForeignToken(f"{t!r} is not a numeral of {sys}")
     v = _as_count(t.value)
     if not sys.exact(v):
-        raise ForeignToken(sys.foreign.format(count=render_gross(v), system=sys))
+        raise ForeignToken(sys.foreign.format(count=count_text(v), system=sys))
     return ExactToken(v)
 
 

@@ -35,6 +35,7 @@ from .gnum import (
     GrossPoly,
     classify,
     compare,
+    count_text,
     render_gross,
 )
 from .setmeasure import (
@@ -91,12 +92,13 @@ def subst(x: Union[GrossNumber, CritRef], L: int) -> Fraction:
             k = _subst_poly(exponent, L)
             if k.denominator != 1:
                 raise NonIntegerExponent(
-                    f"exponent of {render_gross(x)} substitutes to non-integer {k}"
+                    f"exponent of {count_text(x)} substitutes to non-integer "
+                    f"{gnum.number_text(k)}"
                 )
             k = int(k)
         if k < 0:
             raise NegativeExponent(
-                f"exponent of {render_gross(x)} substitutes to negative {k}"
+                f"exponent of {count_text(x)} substitutes to negative {gnum.number_text(k)}"
             )
         if k * x.base.bit_length() > gnum.MAX_POWER_BITS:
             gnum.refuse(ExponentTooLarge, _POWER_REFUSAL, x.base, k, gnum.MAX_POWER_BITS)
@@ -120,7 +122,9 @@ def _subst_poly(p: GrossPoly, L: int) -> Fraction:
     for coeff, exp in p.terms:
         e = _subst_poly(exp, L)
         if e.denominator != 1:
-            raise NonIntegerExponent(f"exponent {render_gross(exp)} substitutes to {e}")
+            raise NonIntegerExponent(
+                f"exponent {count_text(exp)} substitutes to {gnum.number_text(e)}"
+            )
         e = int(e)
         if abs(e) * L.bit_length() > gnum.MAX_POWER_BITS:
             gnum.refuse(ExponentTooLarge, _POWER_REFUSAL, L, abs(e), gnum.MAX_POWER_BITS)

@@ -35,6 +35,7 @@ from .gnum import (
     GrossPoly,
     Ordering,
     classify,
+    count_text,
     fin,
     pow_count,
     render_critref,
@@ -58,9 +59,9 @@ def _as_length(length) -> GrossPoly:
         raise EvalError(f"digit count must be a gross-number, got {length!r}")
     k = classify(length)
     if k not in (Classification.FINITE_POSITIVE, Classification.INFINITE_POSITIVE):
-        raise EvalError(f"digit count must be positive, got {length}")
+        raise EvalError(f"digit count must be positive, got {count_text(length)}")
     if k is Classification.FINITE_POSITIVE and length.as_int() is None:
-        raise EvalError(f"a finite digit count must be a whole number, got {length}")
+        raise EvalError(f"a finite digit count must be a whole number, got {count_text(length)}")
     return length
 
 
@@ -211,9 +212,9 @@ def critical(base: int, target) -> CriticalPair:
     if not isinstance(target, GrossPoly):
         raise NotInfinite(f"critical lengths need an infinite target, got {target!r}")
     if classify(target) is not Classification.INFINITE_POSITIVE:
-        raise NotInfinite(f"critical lengths need an infinite target, got {target}")
+        raise NotInfinite(f"critical lengths need an infinite target, got {count_text(target)}")
     if target.constant_term().denominator != 1:
-        raise EvalError(f"the target count must be a whole number, got {target}")
+        raise EvalError(f"the target count must be a whole number, got {count_text(target)}")
     return CriticalPair(base, target)
 
 
@@ -261,7 +262,7 @@ def compare_numerals(x: InfNumeral, y: InfNumeral) -> Ordering:
         raise IncomparableSystems(f"radix {x.base} vs {y.base}")
     if x.length != y.length:
         raise IncomparableSystems(
-            f"digit counts {render_gross(x.length)} vs {render_gross(y.length)}"
+            f"digit counts {count_text(x.length)} vs {count_text(y.length)}"
         )
     if _signed_convention(x) != _signed_convention(y):
         raise IncomparableSystems("signed and unsigned numerals do not mix")

@@ -119,6 +119,24 @@ class TestRun:
         rows = [json.loads(line) for line in r.stdout.splitlines()]
         assert [row["value"] for row in rows] == ["2", "2*G + 1"]
 
+    @pytest.mark.parametrize(
+        "argv, oracle",
+        [
+            (["run", "{path}", "--oracle", "L=6", "--json"], "at L=6: symbolic 3 vs brute 3"),
+            (["--oracle", "L=6", "run", "{path}", "--json"], "at L=6: symbolic 3 vs brute 3"),
+            (["--oracle", "L=6", "run", "--oracle", "L=8", "{path}", "--json"],
+             "at L=8: symbolic 4 vs brute 4"),
+            (["run", "{path}", "--json"], None),
+        ],
+    )
+    def test_oracle_flag_on_a_script(self, tmp_path, capsys, argv, oracle):
+        script = tmp_path / "card.gc"
+        script.write_text("card(ap(1,2))\n", encoding="utf-8")
+        code = cli.main([arg.format(path=script) for arg in argv])
+        assert code == cli.EXIT_OK
+        line = json.loads(capsys.readouterr().out).get("oracle")
+        assert line == (None if oracle is None else f"ap(1, 2) {oracle} [ok]")
+
 
 class TestCheck:
     def test_clean_sweep(self):

@@ -1,6 +1,7 @@
 """Integers past gnum.MAX_DIGITS decimal digits, and progressions that skip
 more elements than a C size can hold, end in a typed RepresentationLimit on
-every Python version, never in the interpreter's int/str ValueError."""
+every Python version, never in the interpreter's int/str ValueError.  An
+error whose message names such a number keeps its own kind."""
 
 import json
 
@@ -62,3 +63,55 @@ def test_far_start_counts_its_skipped_elements():
         gclang.eval_text("ap(2^62, 3)")
     assert "1537228672809129301 exceeds the cap" in str(info.value)
     assert gclang.render_value(gclang.eval_text("ap(7, 3)")) == "ap(1, 3) \\ {1, 4}"
+
+
+_LONG = "<a count with a number past 4300 digits>"
+
+
+@pytest.mark.parametrize(
+    "line, kind, detail",
+    [
+        (
+            "10^5000 * numerals(10, crit(10, G)) < 10^5000 * G / 2",
+            "Undetermined",
+            f"{_LONG} vs {_LONG} is not resolvable from the sandwich",
+        ),
+        (
+            "2^(2*G + 10^5000) < 4^G",
+            "Undetermined",
+            f"{_LONG} vs 4^G: tied at leading order with different exponent remainders",
+        ),
+        ("(G + 10^5000)^G", "UnsupportedPower",
+         f"{_LONG} only takes finite non-negative integer powers"),
+        ("observe(piraha, -10^5000)", "NegativeCount", f"{_LONG} is not a count"),
+        ("crit(10, 10^5000)", "NotInfinite",
+         f"critical lengths need an infinite target, got {_LONG}"),
+        ("numerals(10, -10^5000)", "EvalError", f"digit count must be positive, got {_LONG}"),
+        (
+            "subst(2^(10^5000*G + 1/2), 2)",
+            "NonIntegerExponent",
+            f"exponent of {_LONG} substitutes to non-integer <16612-bit integer>/2",
+        ),
+        (
+            "subst(2^(G^2 - 10^5000*G), 2)",
+            "NegativeExponent",
+            f"exponent of {_LONG} substitutes to negative -<16611-bit integer>",
+        ),
+        (
+            "subst(G^(10^5000 + 1/2), 2)",
+            "NonIntegerExponent",
+            f"exponent {_LONG} substitutes to <16611-bit integer>/2",
+        ),
+    ],
+)
+def test_messages_name_long_operands_without_their_digits(line, kind, detail, capsys):
+    code, out = _run(line, capsys)
+    assert code == cli.EXIT_EVAL
+    assert out == {"error": {"kind": kind, "detail": detail}}
+
+
+def test_operands_in_range_are_written_out(capsys):
+    _, out = _run("2^(2*G + 1) < 4^G", capsys)
+    assert out["error"]["detail"] == (
+        "2^(2*G + 1) vs 4^G: tied at leading order with different exponent remainders"
+    )

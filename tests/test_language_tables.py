@@ -1,15 +1,21 @@
 """The expression language's tables and its last-resort boundary.
 
 Operator precedence is one binding-power table, value kinds are one table
-of (classes, type tag, renderer) rows, and each set operator is named once,
-by its symbol.  These tests pin what the tables decide: the grouping of
-every ordered pair of binary operators, one rendering and tag per value
-kind, and the nesting cap.  The generated inputs at the end, deep, long or
-huge, must each end in exactly one JSON object from ``cli.run_line``.
+of (classes, type tag, renderer) rows, calls are one table of (library
+call, argument checks) rows, and each set operator is named once, by its
+symbol.  These tests pin what the tables decide: the grouping of every
+ordered pair of binary operators, one rendering and tag per value kind,
+the nesting cap, and the README's list of calls.  The generated inputs at
+the end, deep, long, huge or typed by the call table, must each end in
+exactly one JSON object from ``cli.run_line``.
 """
 import contextlib
 import io
+import itertools
 import json
+import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -224,3 +230,93 @@ def test_large_powers(base, exponent, template, point):
 @given(st.integers(1, 1300), st.integers(1000, 3000), st.sampled_from(["|", "&", "\\"]), _POINTS)
 def test_long_set_chains(pieces, step, op, point):
     _one_json_object(f" {op} ".join(f"ap({i}, {step})" for i in range(1, pieces + 1)), point)
+
+
+# the call table: one row per call, the library call and then one (check,
+# what, minimum) triple per argument
+
+def _readme_calls():
+    """{name: arity} of every call the README's "Calls" table documents."""
+    with open(Path(__file__).resolve().parents[1] / "README.md", encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("Calls:\n\n", 1)[1].split("\n\n", 1)[0]
+    calls = {}
+    for row in table.splitlines()[2:]:
+        for name, args in re.findall(r"`(\w+)\(([^)]*)\)", row.split("|")[1]):
+            calls[name] = len(args.split(","))
+    return calls
+
+
+def test_the_readme_documents_every_call_with_its_arity():
+    assert _readme_calls() == {name: len(row) - 1 for name, row in gclang._CALLS.items()}
+
+
+# value texts over every kind, with values just past each size cap; a text
+# whose evaluation is refused, such as 2^(10^6 + 1), is never drawn
+_PROBE_POOL = (
+    "0", "1", "2", "3", "7", "10", "-1", "1/2", "10^4300", "10^6 + 1", "2^(10^6 + 1)",
+    "G", "G - 1", "G/2", "3*G^2 - G/2 + 7", "2^G", "10^(G + 1)", "numerals(10, crit(10, G))",
+    "crit(10, G)", "crit(2, G^2) - 3", "N", "Z", "ap(2, 3)", "ap(10^6, 3)", "{1, 2}",
+    "{0, -1}", "~ap(1, 2)", "mirror(ap(1, 3))", "num(10, G)", 'num(10, 3){head: "12"}',
+    'num(2, 10^6 + 1){head: "1"}', 'num(10, 2*G){sign: "-"}', "critical(10, G)",
+    "observe(piraha, 7)", "observe(grossone, G)", "many", "wadd(piraha, 1, 1)", "piraha",
+    "munduruku", "grossone", "true", "false", "first(10, 2, 3)", "members(ap(1, 2), 3)",
+    "2^(10^4300*G + 1/2)",
+)
+# a call with more argument combinations than this is sampled, not swept
+_PROBE_LIMIT = 120
+
+
+def _probe_values():
+    env = gclang.default_env()
+    values = {}
+    for text in _PROBE_POOL:
+        try:
+            values[text] = eval_text(text, env)
+        except errors.GrossError:
+            pass
+    return values
+
+
+def _passes(triple, value):
+    check, what, minimum = triple
+    try:
+        check(value, what, minimum)
+    except errors.GrossError:
+        return False
+    return True
+
+
+def _probe_inputs(seed=2026):
+    """Calls whose arguments are drawn from the pool texts each argument's
+    check accepts, so most reach the library call instead of a type error."""
+    values = _probe_values()
+    rng = random.Random(seed)
+    inputs = []
+    for name, (_, *triples) in gclang._CALLS.items():
+        choices = [[t for t, v in values.items() if _passes(triple, v)] for triple in triples]
+        assert all(choices), name
+        combos = list(itertools.product(*choices))
+        if len(combos) > _PROBE_LIMIT:
+            combos = rng.sample(combos, _PROBE_LIMIT)
+        inputs += [f"{name}({', '.join(args)})" for args in combos]
+    return inputs
+
+
+def test_the_probe_pool_covers_every_value_kind():
+    values = _probe_values().values()
+    members = [x for v in values if isinstance(v, tuple) for x in v]
+    tags = {type_tag(v) for v in values} | {type_tag(x) for x in members}
+    assert tags == {tag for _, tag, _ in gclang._KINDS}
+
+
+@pytest.mark.parametrize("point", [None, 12])
+def test_typed_probe_of_every_call(point):
+    env = gclang.default_env()
+    kinds = []
+    for line in _probe_inputs():
+        code, out = _run(line, point, env)
+        assert code in (cli.EXIT_OK, cli.EXIT_EVAL), line
+        kinds.append(out["error"]["kind"] if "error" in out else "value")
+        assert kinds[-1] != "InternalError", (line, out)
+    assert kinds.count("value") > len(kinds) / 3
