@@ -17,6 +17,10 @@ left-associative level, and `^` (right-associative) binds tighter than all:
     1  |  \\        2  &        3  +  -        4  *  /
 
 Comparisons do not chain.  The glyph `①` reads as the identifier `G`.
+Tokens are one table, _TOKEN, with one named group per kind, tried in order:
+newline, blank, `#` comment to the end of the line, `①`, INT (ASCII digits),
+IDENT (a letter or `_`, then letters, digits or `_`), STR (double-quoted, on
+one line, read only in num's fields), OP; a column is an offset in its line.
 An input may nest at most 100 levels deep, counting brackets, call
 arguments, unary operators and exponents; a deeper one is a ParseError,
 not a recursion.  A long chain such as 1 - 1 - ... - 1 nests one level.
@@ -45,8 +49,9 @@ Canonical rendering is inverse to the parser on calculator values:
 re-parsing a rendered count, set, or boolean evaluates to an equal value.
 """
 
+import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from . import gnum, observer, oracle, posnum, setmeasure
 from .errors import EvalError, ParseError, RepresentationLimit, UnboundIdentifier
@@ -142,89 +147,65 @@ Ast = Union[Lit, Name, Unary, Bin, Cmp, SetLit, Call, Let]
 # tokens
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # INT, IDENT, STR, OP, EOF
     text: str
     line: int
     col: int
 
 
-_DIGITS = "0123456789"
-_TWO_CHAR = ("<=", ">=", "==")
-_ONE_CHAR = set("()+-*/^<>&|\\~{},:=")
+# see the module docstring; BAD takes any character no kind starts with, and
+# _tokenize refuses ² or ½ as an IDENT start, which [^\W\d] admits
+_TOKEN = re.compile(
+    r"""(?P<NEWLINE>\n)
+      | (?P<BLANK>[ \t\r]+)
+      | (?P<COMMENT>\#[^\n]*)
+      | (?P<CIRCLED_ONE>①)
+      | (?P<INT>[0-9]+)
+      | (?P<IDENT>[^\W\d]\w*)
+      | (?P<STR>"[^"\n]*")
+      | (?P<UNTERMINATED>")
+      | (?P<OP><=|>=|==|[-()+*/^<>&|\\~{},:=])
+      | (?P<BAD>.)""",
+    re.VERBOSE,
+)
 
 
 def _tokenize(text: str):
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        at = col
-        if c == "①":  # ①, the circled-one glyph
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, start, end = m.lastgroup, m.start(), m.end()
+        at = start - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, end
+        elif kind == "COMMENT":
+            end = start  # a comment leaves the column where it began
+        elif kind == "CIRCLED_ONE":
             toks.append(_Tok("IDENT", "G", line, at))
-            i += 1
-            col += 1
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Tok("INT", text[i:j], line, at))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", text[i:j], line, at))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] not in ('"', "\n"):
-                j += 1
-            if j >= n or text[j] == "\n":
-                raise ParseError("unterminated string", line, at, '"')
-            toks.append(_Tok("STR", text[i + 1 : j], line, at))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if text[i : i + 2] in _TWO_CHAR:
-            toks.append(_Tok("OP", text[i : i + 2], line, at))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Tok("OP", c, line, at))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, at)
-    toks.append(_Tok("EOF", "", line, col))
+        elif kind == "STR":
+            toks.append(_Tok("STR", m.group()[1:-1], line, at))
+        elif kind == "UNTERMINATED":
+            raise ParseError("unterminated string", line, at, '"')
+        elif kind == "BAD" or kind == "IDENT" and not (text[start].isalpha() or text[start] == "_"):
+            raise ParseError(f"unexpected character {text[start]!r}", line, at)
+        elif kind != "BLANK":
+            toks.append(_Tok(kind, m.group(), line, at))
+    toks.append(_Tok("EOF", "", line, end - line_start + 1))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-_COMPARATORS = ("<", "<=", "==", ">=", ">")
+# the orderings each comparison accepts
+_VERDICTS = {
+    "<": (Ordering.LESS,),
+    "<=": (Ordering.LESS, Ordering.EQUAL),
+    "==": (Ordering.EQUAL,),
+    ">=": (Ordering.GREATER, Ordering.EQUAL),
+    ">": (Ordering.GREATER,),
+}
 # binding power of each binary operator; '^' binds tighter still, see power
 _BINDING = {"|": 1, "\\": 1, "&": 2, "+": 3, "-": 3, "*": 4, "/": 4}
 # nesting levels one input may open; deeper inputs are refused, not recursed
@@ -281,11 +262,11 @@ class _Parser:
 
     def expr(self) -> Ast:
         left = self.binary()
-        if self.at_op(*_COMPARATORS):
+        if self.at_op(*_VERDICTS):
             op = self.advance().text
             right = self.binary()
-            t = self.peek()
-            if t.kind == "OP" and t.text in _COMPARATORS:
+            if self.at_op(*_VERDICTS):
+                t = self.peek()
                 raise ParseError("comparisons do not chain", t.line, t.col, "end of input")
             return Cmp(op, left, right)
         return left
@@ -344,8 +325,10 @@ class _Parser:
                 return Name(t.text)
             self.advance()
             args = self.items(")")
-            fields = self.field_block() if t.text == "num" and self.at_op("{") else ()
-            return Call(t.text, args, fields)
+            if t.text != "num" or not self.at_op("{"):
+                return Call(t.text, args)
+            self.advance()
+            return Call(t.text, args, self.items("}", _Parser.field))
         if t.kind == "OP" and t.text == "(":
             node = self.expr()
             self.expect("OP", ")")
@@ -354,32 +337,22 @@ class _Parser:
             return SetLit(self.items("}"))
         raise ParseError(f"unexpected {self.describe(t)}", t.line, t.col, "expression")
 
-    def items(self, close: str) -> Tuple[Ast, ...]:
-        """Comma-separated expressions up to and including the close bracket."""
+    def field(self) -> Tuple[str, str]:
+        key = self.expect("IDENT", expected="field name").text
+        self.expect("OP", ":")
+        return key, self.expect("STR", expected="quoted digits").text
+
+    def items(self, close: str, item=expr) -> tuple:
+        """Comma-separated items, expressions unless item says otherwise, up
+        to and including the close bracket."""
         elems = []
         if not self.at_op(close):
-            elems.append(self.expr())
+            elems.append(item(self))
             while self.at_op(","):
                 self.advance()
-                elems.append(self.expr())
+                elems.append(item(self))
         self.expect("OP", close)
         return tuple(elems)
-
-    def field_block(self):
-        self.expect("OP", "{")
-        pairs = []
-        if not self.at_op("}"):
-            while True:
-                key = self.expect("IDENT", expected="field name").text
-                self.expect("OP", ":")
-                value = self.expect("STR", expected="quoted digits").text
-                pairs.append((key, value))
-                if self.at_op(","):
-                    self.advance()
-                    continue
-                break
-        self.expect("OP", "}")
-        return tuple(pairs)
 
 
 def parse(text: str) -> Ast:
@@ -516,12 +489,10 @@ def _as_signed(v: _DualRoute) -> SignedMeasured:
 
 
 def _digit_tuple(text: str, what: str) -> Tuple[int, ...]:
-    out = []
     for ch in text:
-        if ch not in _DIGITS:
+        if ch not in posnum.DIGITS:
             raise EvalError(f"{what} must contain digits only, got {ch!r}")
-        out.append(int(ch))
-    return tuple(out)
+    return tuple(posnum.DIGITS.index(ch) for ch in text)
 
 
 def _call_num(base, length, *fields):
@@ -630,15 +601,6 @@ def _eval_setop(op, a, b):
         setmeasure.combine_signed(op, a.record, b.record),
         setmeasure.combine_signed(op, a.expr, b.expr),
     )
-
-
-_VERDICTS = {
-    "<": (Ordering.LESS,),
-    "<=": (Ordering.LESS, Ordering.EQUAL),
-    "==": (Ordering.EQUAL,),
-    ">=": (Ordering.GREATER, Ordering.EQUAL),
-    ">": (Ordering.GREATER,),
-}
 
 
 def _eval_cmp(op, a, b):

@@ -134,12 +134,13 @@ def number_text(x: Union[int, Fraction]) -> str:
     return str(n)
 
 
-def count_text(x: GrossNumber) -> str:
-    """render_gross(x) for a message, except that a count holding a number
-    past MAX_DIGITS digits is named without its numbers, so the message
-    keeps the kind of the error it explains."""
+def count_text(x: Union[GrossNumber, "CritRef"]) -> str:
+    """render_gross(x), or render_critref(x) for a critical length, for a
+    message, except that a count holding a number past MAX_DIGITS digits is
+    named without its numbers, so the message keeps the kind of the error
+    it explains."""
     try:
-        return render_gross(x)
+        return render_critref(x) if isinstance(x, CritRef) else render_gross(x)
     except RepresentationLimit:
         return f"<a count with a number past {MAX_DIGITS} digits>"
 

@@ -112,7 +112,8 @@ def _subst_critref(ref: CritRef, L: int) -> int:
     target = _subst_poly(ref.target, L)
     if target.denominator != 1 or target < 1:
         raise CritRefNotSubstitutable(
-            f"target of {ref!r} substitutes to {target}, not a positive integer"
+            f"target of {count_text(ref)} substitutes to {gnum.number_text(target)}, "
+            "not a positive integer"
         )
     return int_log_floor(ref.base, int(target)) + ref.offset
 

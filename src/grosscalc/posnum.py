@@ -51,12 +51,15 @@ _EXPAND_LIMIT = 32
 
 Digits = Tuple[int, ...]
 
+# one character per digit value, so a radix is at most 36
+DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
 
 def _as_length(length) -> GrossPoly:
     if isinstance(length, int):
         length = fin(length)
     if not isinstance(length, GrossPoly):
-        raise EvalError(f"digit count must be a gross-number, got {length!r}")
+        raise EvalError(f"digit count must be a gross-number, got {count_text(length)}")
     k = classify(length)
     if k not in (Classification.FINITE_POSITIVE, Classification.INFINITE_POSITIVE):
         raise EvalError(f"digit count must be positive, got {count_text(length)}")
@@ -84,8 +87,8 @@ class InfNumeral:
     sign: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise EvalError(f"radix must be an integer >= 2, got {self.base!r}")
+        if not isinstance(self.base, int) or not 2 <= self.base <= len(DIGITS):
+            raise EvalError(f"radix must be an integer from 2 to {len(DIGITS)}, got {self.base!r}")
         if self.sign not in ("", "+", "-"):
             raise EvalError(f"sign must be '+', '-' or empty, got {self.sign!r}")
 
@@ -209,9 +212,7 @@ def critical(base: int, target) -> CriticalPair:
     """
     if isinstance(target, int):
         target = fin(target)
-    if not isinstance(target, GrossPoly):
-        raise NotInfinite(f"critical lengths need an infinite target, got {target!r}")
-    if classify(target) is not Classification.INFINITE_POSITIVE:
+    if not isinstance(target, GrossPoly) or classify(target) is not Classification.INFINITE_POSITIVE:
         raise NotInfinite(f"critical lengths need an infinite target, got {count_text(target)}")
     if target.constant_term().denominator != 1:
         raise EvalError(f"the target count must be a whole number, got {count_text(target)}")
@@ -358,13 +359,13 @@ def enumerate_all(base: int, length: int):
 
 
 def _digit_str(digits: Digits) -> str:
-    return "".join(str(d) for d in digits)
+    return "".join(DIGITS[d] for d in digits)
 
 
 def render_digits(x: InfNumeral) -> str:
     """Just the digit string, e.g. '0.000…0001' or '0.375'."""
     n = x.finite_length
-    if n is not None and n <= _EXPAND_LIMIT:
+    if n is not None and (n <= _EXPAND_LIMIT or x.gap() == 0):
         body = _digit_str(_materialized(x, n))
     else:
         body = _digit_str(x.head) + "000…000" + _digit_str(x.tail)

@@ -102,6 +102,18 @@ _LONG = "<a count with a number past 4300 digits>"
             "NonIntegerExponent",
             f"exponent {_LONG} substitutes to <16611-bit integer>/2",
         ),
+        ("numerals(10, 2^(G + 10^5000))", "EvalError",
+         f"digit count must be a gross-number, got {_LONG}"),
+        ("numerals(10, 2^G)", "EvalError", "digit count must be a gross-number, got 2^G"),
+        ("crit(10, 2^(G + 10^5000))", "NotInfinite",
+         f"critical lengths need an infinite target, got {_LONG}"),
+        (
+            "subst(crit(10, G - 10^4400), 2)",
+            "CritRefNotSubstitutable",
+            f"target of {_LONG} substitutes to -<14617-bit integer>, not a positive integer",
+        ),
+        ("subst(crit(10, G - 10), 2)", "CritRefNotSubstitutable",
+         "target of crit(10, G - 10) substitutes to -8, not a positive integer"),
     ],
 )
 def test_messages_name_long_operands_without_their_digits(line, kind, detail, capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grosscalc import errors
 from grosscalc.gclang import (
@@ -17,6 +17,7 @@ from grosscalc.gclang import (
     SetLit,
     SignedMeasured,
     Unary,
+    _tokenize,
     default_env,
     eval_text,
     parse,
@@ -93,6 +94,16 @@ class TestParseStructure:
         assert tree == Call(
             "num", (Lit(10), Name("G")), (("head", ""), ("tail", "1"), ("sign", "-"))
         )
+
+    def test_numeral_fields_read_digits_zero_to_z(self):
+        assert render_value(eval_text('succ(num(16, G){tail: "9"})')) == render_value(
+            eval_text('num(16, G){tail: "a"}')
+        )
+        assert render_value(eval_text('num(36, 2){head: "z"}')).startswith("0.z0 ")
+        for text in ('num(16, G){tail: "A"}', 'num(37, G)', "first(100, G, 2)"):
+            with pytest.raises(errors.EvalError):
+                eval_text(text)
+        assert render_value(eval_text("numerals(100, G)")) == "100^G"
 
     def test_error_carries_position_and_hint(self):
         with pytest.raises(errors.ParseError) as exc:
@@ -354,6 +365,101 @@ def test_arbitrary_text_never_crashes_the_tokenizer(text):
         eval_text(text)
     except errors.GrossError:
         pass
+
+
+def reference_tokenize(text):
+    """The tokenizer as a character loop, kept as the reference the token
+    table must agree with: (kind, text, line, col) tuples, or ParseError."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        at = col
+        if c == "①":
+            toks.append(("IDENT", "G", line, at))
+            i += 1
+            col += 1
+            continue
+        if c in "0123456789":
+            j = i
+            while j < n and text[j] in "0123456789":
+                j += 1
+            toks.append(("INT", text[i:j], line, at))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("IDENT", text[i:j], line, at))
+            col += j - i
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and text[j] not in ('"', "\n"):
+                j += 1
+            if j >= n or text[j] == "\n":
+                raise errors.ParseError("unterminated string", line, at, '"')
+            toks.append(("STR", text[i + 1 : j], line, at))
+            col += j - i + 1
+            i = j + 1
+            continue
+        if text[i : i + 2] in ("<=", ">=", "=="):
+            toks.append(("OP", text[i : i + 2], line, at))
+            i += 2
+            col += 2
+            continue
+        if c in "()+-*/^<>&|\\~{},:=":
+            toks.append(("OP", c, line, at))
+            i += 1
+            col += 1
+            continue
+        raise errors.ParseError(f"unexpected character {c!r}", line, at)
+    toks.append(("EOF", "", line, col))
+    return toks
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except errors.ParseError as e:
+        return (str(e), e.line, e.col, e.expected)
+
+
+_PIECES = st.sampled_from(
+    list("①²½٣é\xa0\r\t\n #\"_xG07$") + list("()+-*/^<>&|\\~{},:=") + ["<=", ">=", "=="]
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_PIECES, max_size=30).map("".join))
+def test_token_table_agrees_with_the_character_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+def test_token_table_keeps_the_loop_s_quirks():
+    # a numeric character is no identifier start, and a trailing comment
+    # leaves the end-of-input column where the comment began
+    for text in ("x²", "²x", "½", "a٣", "٣", "1 + 2 # note", "a\n  # note", '"ab\n"'):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+    assert _tokens_or_error(_tokenize, "²x") == ("unexpected character '²' at line 1, column 1", 1, 1, "")
+    assert _tokenize("1 # note")[-1].col == 3
 
 
 class TestTypeTags:

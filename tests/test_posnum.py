@@ -361,3 +361,23 @@ class TestRender:
     def test_half_length_form(self):
         x = zeros(2, G / 2)
         assert render_numeral(x) == "0.000…000 [2^(G/2) positions: G/2]"
+
+    def test_digits_past_nine_are_letters(self):
+        x = successor(numeral(16, G, tail=(9,)))
+        assert render_digits(x) == "0.000…000a"
+        chain = enumerate_first(16, 2, 12)
+        assert [render_digits(y) for y in chain[-3:]] == ["0.09", "0.0a", "0.0b"]
+        assert render_digits(numeral(36, 2, head=(35, 10))) == "0.za"
+
+    def test_radix_is_at_most_one_character_per_digit(self):
+        with pytest.raises(errors.EvalError, match="from 2 to 36, got 37"):
+            zeros(37, G)
+        assert render_gross(numeral_count(100, G)) == "100^G"
+
+    @pytest.mark.parametrize("length", [33, 10 ** 4, 10 ** 4 + 1])
+    def test_no_gap_writes_the_digits_alone(self, length):
+        head = (1,) * (length // 2)
+        tail = (2,) * (length - len(head))
+        x = numeral(10, length, head=head, tail=tail)
+        assert render_digits(x) == "0." + "1" * len(head) + "2" * len(tail)
+        assert render_digits(numeral(10, length, head=head)).endswith("1000…000")
