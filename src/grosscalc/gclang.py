@@ -25,7 +25,8 @@ An input may nest at most 100 levels deep, counting brackets, call
 arguments, unary operators and exponents; a deeper one is a ParseError,
 not a recursion.  A long chain such as 1 - 1 - ... - 1 nests one level.
 The `fields` block is a brace-suffixed record accepted only by `num`,
-carrying digit strings: num(10, G){head: "", tail: "1", sign: "-"}.
+carrying the strings that posnum.numeral reads and checks:
+num(10, G){head: "", tail: "1", sign: "-"}.
 
 Calls are one table, _CALLS, with one row per call: the library call, then
 one (check, what, minimum) triple per argument, so a row's arity is its
@@ -488,29 +489,11 @@ def _as_signed(v: _DualRoute) -> SignedMeasured:
     return SignedMeasured(setmeasure.lift_signed(v.record), setmeasure.lift_signed(v.expr))
 
 
-def _digit_tuple(text: str, what: str) -> Tuple[int, ...]:
-    for ch in text:
-        if ch not in posnum.DIGITS:
-            raise EvalError(f"{what} must contain digits only, got {ch!r}")
-    return tuple(posnum.DIGITS.index(ch) for ch in text)
-
-
 def _call_num(base, length, *fields):
-    head: Tuple[int, ...] = ()
-    tail: Tuple[int, ...] = ()
-    sign = ""
-    for key, text in fields:
-        if key == "head":
-            head = _digit_tuple(text, "head")
-        elif key == "tail":
-            tail = _digit_tuple(text, "tail")
-        elif key == "sign":
-            if text not in ("", "+", "-"):
-                raise EvalError(f'sign must be "", "+" or "-", got {text!r}')
-            sign = text
-        else:
+    for key, _ in fields:
+        if key not in ("head", "tail", "sign"):
             raise EvalError(f"num has no field {key!r}")
-    return posnum.numeral(base, length, head=head, tail=tail, sign=sign)
+    return posnum.numeral(base, length, **dict(fields))
 
 
 # one row per call, see the module docstring; each library function is
@@ -533,8 +516,7 @@ _CALLS = {
     "mirror": (lambda s: SignedMeasured(setmeasure.mirror_signed(s.record),
                                         setmeasure.mirror_signed(s.expr)),
                (_want_nat_set, "the argument of mirror", None)),
-    "numerals": (lambda b, n: gnum.pow_count(b, n) if isinstance(n, CritRef)
-                 else posnum.numeral_count(b, n),
+    "numerals": (lambda b, n: posnum.numeral_count(b, n),
                  _BASE, (_want_length, "the digit length", None)),
     "signedcount": (lambda b: posnum.signed_line_count(b), _BASE),
     "floatcount": (lambda b: posnum.float_count(b), _BASE),

@@ -8,12 +8,20 @@ tail block ending at position N, and an implicit run of 0 digits between
 them.  That shape covers every numeral that can actually be displayed;
 strings with infinitely many scattered nonzero digits are out of scope.
 
+Digits are read in one place: numeral() takes a head or tail as digit
+text (0-9, then a-z for 10 to 35) or as digit values, checks the alphabet
+and the base in one pass, and names a bad digit as it was given.  The
+successor and the predecessor are one carry rule: the last digit that does
+not wrap (b-1 going up, 0 going down) moves by one, and every digit after
+it wraps.  The implicit zeros between head and tail take a carry on their
+last position going up, and wrap as one run going down.
+
 The module also counts how many numerals each system expresses (b^N for N
 positions) and locates the critical digit lengths where that count first
-reaches a given infinite target.
+reaches a given infinite polynomial target.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -68,11 +76,16 @@ def _as_length(length) -> GrossPoly:
     return length
 
 
-def _clean_digits(digits, base: int, what: str) -> Digits:
-    out = tuple(int(d) for d in digits)
-    for d in out:
-        if not 0 <= d < base:
-            raise EvalError(f"{what} digit {d} is outside base {base}")
+def _digits(given, base: int, what: str) -> Digits:
+    """Digit values from text over DIGITS or from values; a bad digit is
+    named as it was given."""
+    out = tuple(map(DIGITS.find, given)) if isinstance(given, str) else tuple(map(int, given))
+    if out and not (min(out) >= 0 and max(out) < base):
+        for shown, d in zip(given, out):
+            if d < 0 and isinstance(shown, str):
+                raise EvalError(f"{what} must contain digits only, got {shown!r}")
+            if not 0 <= d < base:
+                raise EvalError(f"{what} digit {shown!r} is outside base {base}")
     return out
 
 
@@ -90,7 +103,7 @@ class InfNumeral:
         if not isinstance(self.base, int) or not 2 <= self.base <= len(DIGITS):
             raise EvalError(f"radix must be an integer from 2 to {len(DIGITS)}, got {self.base!r}")
         if self.sign not in ("", "+", "-"):
-            raise EvalError(f"sign must be '+', '-' or empty, got {self.sign!r}")
+            raise EvalError(f'sign must be "", "+" or "-", got {self.sign!r}')
 
     @property
     def finite_length(self):
@@ -113,23 +126,25 @@ class InfNumeral:
 
 def _strip(head: Digits, tail: Digits) -> Tuple[Digits, Digits]:
     # zeros adjacent to the implicit middle carry no information
-    while head and head[-1] == 0:
-        head = head[:-1]
-    while tail and tail[0] == 0:
-        tail = tail[1:]
-    return head, tail
+    end = len(head)
+    while end and head[end - 1] == 0:
+        end -= 1
+    start = 0
+    while start < len(tail) and tail[start] == 0:
+        start += 1
+    return head[:end], tail[start:]
 
 
 def numeral(base: int, length, head=(), tail=(), sign: str = "") -> InfNumeral:
-    """Canonicalizing constructor.
+    """Canonicalizing constructor; head and tail are digit text or values.
 
     Finite lengths up to _DENSE_LIMIT are materialized into a single head
     block so that equal strings become equal records; everything longer
     keeps the sparse two-ended form.
     """
     length = _as_length(length)
-    head = _clean_digits(head, base, "head")
-    tail = _clean_digits(tail, base, "tail")
+    head = _digits(head, base, "head")
+    tail = _digits(tail, base, "tail")
     head, tail = _strip(head, tail)
     n = length.as_int()
     if n is not None:
@@ -147,10 +162,6 @@ def numeral(base: int, length, head=(), tail=(), sign: str = "") -> InfNumeral:
 def zeros(base: int, length, sign: str = "") -> InfNumeral:
     """The all-zeros numeral, the smallest string of the system."""
     return numeral(base, length, sign=sign)
-
-
-def _signed_convention(x: InfNumeral) -> bool:
-    return x.sign != ""
 
 
 # counting
@@ -191,12 +202,14 @@ class CriticalPair:
 
     base: int
     target: GrossPoly
-    k1: CritRef = field(init=False)
-    k2: CritRef = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "k1", CritRef(self.base, self.target, 0))
-        object.__setattr__(self, "k2", CritRef(self.base, self.target, 1))
+    @property
+    def k1(self) -> CritRef:
+        return CritRef(self.base, self.target, 0)
+
+    @property
+    def k2(self) -> CritRef:
+        return CritRef(self.base, self.target, 1)
 
     def __str__(self):
         return render_critical_pair(self)
@@ -206,12 +219,17 @@ class CriticalPair:
 
 
 def critical(base: int, target) -> CriticalPair:
-    """Digit lengths k1, k2 with b^k1 <= target < b^k2, for infinite targets.
+    """Digit lengths k1, k2 with b^k1 <= target < b^k2, for infinite
+    polynomial targets.
 
     Finite targets have an ordinary integer logarithm and need no symbol.
     """
     if isinstance(target, int):
         target = fin(target)
+    if isinstance(target, ExpCount):
+        raise EvalError(
+            f"critical lengths need a polynomial target count, got {count_text(target)}"
+        )
     if not isinstance(target, GrossPoly) or classify(target) is not Classification.INFINITE_POSITIVE:
         raise NotInfinite(f"critical lengths need an infinite target, got {count_text(target)}")
     if target.constant_term().denominator != 1:
@@ -229,26 +247,16 @@ def _materialized(x: InfNumeral, n: int) -> Digits:
 
 
 def _cmp_magnitude(x: InfNumeral, y: InfNumeral) -> int:
+    width = max(len(x.head), len(y.head)) + max(len(x.tail), len(y.tail))
     n = x.finite_length
-    if n is not None:
-        overlap = len(x.head) + len(y.tail) > n or len(y.head) + len(x.tail) > n
-        if overlap:
-            dx, dy = _materialized(x, n), _materialized(y, n)
-            return (dx > dy) - (dx < dy)
-    # the head zones meet only implicit zeros on the other side, and so do
-    # the tail zones; each end can be compared independently
-    for i in range(max(len(x.head), len(y.head))):
-        dx = x.head[i] if i < len(x.head) else 0
-        dy = y.head[i] if i < len(y.head) else 0
-        if dx != dy:
-            return (dx > dy) - (dx < dy)
-    width = max(len(x.tail), len(y.tail))
-    for i in range(width):
-        dx = x.tail[i - width + len(x.tail)] if i >= width - len(x.tail) else 0
-        dy = y.tail[i - width + len(y.tail)] if i >= width - len(y.tail) else 0
-        if dx != dy:
-            return (dx > dy) - (dx < dy)
-    return 0
+    if n is not None and width > n:
+        # a head block reaches the other string's tail block: compare whole
+        dx, dy = _materialized(x, n), _materialized(y, n)
+    else:
+        # the head blocks meet only implicit zeros on the other side, and so
+        # do the tail blocks: pad each block to the wider one and compare
+        dx, dy = (z.head + (0,) * (width - len(z.head) - len(z.tail)) + z.tail for z in (x, y))
+    return (dx > dy) - (dx < dy)
 
 
 def compare_numerals(x: InfNumeral, y: InfNumeral) -> Ordering:
@@ -265,7 +273,7 @@ def compare_numerals(x: InfNumeral, y: InfNumeral) -> Ordering:
         raise IncomparableSystems(
             f"digit counts {count_text(x.length)} vs {count_text(y.length)}"
         )
-    if _signed_convention(x) != _signed_convention(y):
+    if (x.sign == "") != (y.sign == ""):
         raise IncomparableSystems("signed and unsigned numerals do not mix")
     if x.sign != y.sign:
         return Ordering.LESS if x.sign == "-" else Ordering.GREATER
@@ -275,52 +283,31 @@ def compare_numerals(x: InfNumeral, y: InfNumeral) -> Ordering:
     return Ordering(verdict)
 
 
-def successor(x: InfNumeral) -> InfNumeral:
-    """The next numeral in the system: add 1 at the final position.
-
-    A carry that leaves the recorded tail lands on an adjacent implicit 0
-    and stops there; only at the all-(b-1) maximal numeral (possible only
-    for finite lengths) does the carry fall off the string.
-    """
+def _step(x: InfNumeral, delta: int) -> InfNumeral:
+    """Add delta, +1 or -1, at the final position by the module's carry rule."""
     b = x.base
-    tail = list(x.tail)
-    carry = 1
-    for i in range(len(tail) - 1, -1, -1):
-        if not carry:
-            break
-        carry, tail[i] = divmod(tail[i] + 1, b)
-    if not carry:
-        return numeral(b, x.length, x.head, tuple(tail), x.sign)
+    wrap, wrapped = (b - 1, 0) if delta > 0 else (0, b - 1)
+
+    def moved(digits: Digits):
+        i = len(digits) - 1
+        while i >= 0 and digits[i] == wrap:
+            i -= 1
+        if i < 0:
+            return None
+        return digits[:i] + (digits[i] + delta,) + (wrapped,) * (len(digits) - 1 - i)
+
+    tail = moved(x.tail)
+    if tail is not None:
+        return numeral(b, x.length, x.head, tail, x.sign)
     gap = x.gap()
-    if gap is None or gap >= 1:
-        return numeral(b, x.length, x.head, (1,) + tuple(tail), x.sign)
-    # the tail is flush against the head: keep carrying
-    head = list(x.head)
-    for i in range(len(head) - 1, -1, -1):
-        if not carry:
-            break
-        carry, head[i] = divmod(head[i] + 1, b)
-    if carry:
-        raise Overflow("the maximal numeral has no successor")
-    return numeral(b, x.length, tuple(head), tuple(tail), x.sign)
-
-
-def predecessor(x: InfNumeral) -> InfNumeral:
-    """The exact inverse of successor."""
-    b = x.base
-    if x.tail:
-        # a canonical tail starts with a nonzero digit, so the borrow
-        # always resolves inside the record
-        tail = list(x.tail)
-        for i in range(len(tail) - 1, -1, -1):
-            tail[i] -= 1
-            if tail[i] >= 0:
-                break
-            tail[i] = b - 1
-        return numeral(b, x.length, x.head, tuple(tail), x.sign)
-    if not x.head:
+    if delta > 0 and gap != 0:
+        return numeral(b, x.length, x.head, (1,) + (0,) * len(x.tail), x.sign)
+    head = moved(x.head)
+    if head is None:
+        if delta > 0:
+            raise Overflow("the maximal numeral has no successor")
         raise Underflow("the all-zeros numeral has no predecessor")
-    gap = x.gap()
+    # only a step down reaches here with a gap, whose zeros all become b-1
     if gap is None:
         raise Underflow(
             "the predecessor would need infinitely many trailing nonzero digits"
@@ -329,8 +316,22 @@ def predecessor(x: InfNumeral) -> InfNumeral:
         gnum.refuse(
             RepresentationLimit, "the predecessor needs {} explicit digits of {}", gap, b - 1
         )
-    head = x.head[:-1] + (x.head[-1] - 1,)  # canonical heads end nonzero
-    return numeral(b, x.length, head, (b - 1,) * gap, x.sign)
+    return numeral(b, x.length, head, (wrapped,) * (gap + len(x.tail)), x.sign)
+
+
+def successor(x: InfNumeral) -> InfNumeral:
+    """The next numeral in the system: add 1 at the final position.
+
+    A carry that leaves the recorded tail lands on an adjacent implicit 0
+    and stops there; only at the all-(b-1) maximal numeral (possible only
+    for finite lengths) does the carry fall off the string.
+    """
+    return _step(x, 1)
+
+
+def predecessor(x: InfNumeral) -> InfNumeral:
+    """The exact inverse of successor."""
+    return _step(x, -1)
 
 
 def enumerate_first(base: int, length, n: int):

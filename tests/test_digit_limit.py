@@ -105,8 +105,8 @@ _LONG = "<a count with a number past 4300 digits>"
         ("numerals(10, 2^(G + 10^5000))", "EvalError",
          f"digit count must be a gross-number, got {_LONG}"),
         ("numerals(10, 2^G)", "EvalError", "digit count must be a gross-number, got 2^G"),
-        ("crit(10, 2^(G + 10^5000))", "NotInfinite",
-         f"critical lengths need an infinite target, got {_LONG}"),
+        ("crit(10, 2^(G + 10^5000))", "EvalError",
+         f"critical lengths need a polynomial target count, got {_LONG}"),
         (
             "subst(crit(10, G - 10^4400), 2)",
             "CritRefNotSubstitutable",

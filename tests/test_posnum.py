@@ -6,13 +6,14 @@ sparse-numeral operation must agree with plain string arithmetic on it.
 """
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grosscalc import errors
+from grosscalc import errors, gclang, gnum
 from grosscalc.gnum import (
     CritRef,
     ExpCount,
@@ -63,6 +64,40 @@ class TestConstruction:
     def test_digit_range_checked(self):
         with pytest.raises(errors.EvalError):
             numeral(2, G, tail=(2,))
+
+    def test_digit_text_is_read_like_digit_values(self):
+        x = numeral(16, G, head="0f", tail="a")
+        assert x == numeral(16, G, head=(0, 15), tail=(10,))
+        assert render_digits(x) == "0.0f000…000a"
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ('num(10, G){tail: "a"}', "tail digit 'a' is outside base 10"),
+            ('num(2, 5){head: "1012"}', "head digit '2' is outside base 2"),
+            ('num(10, G){head: "Z"}', "head must contain digits only, got 'Z'"),
+            ('num(10, G){tail: "1 2"}', "tail must contain digits only, got ' '"),
+            ('num(10, G){sign: "*"}', 'sign must be "", "+" or "-", got \'*\''),
+            ('num(10, G){base: "1"}', "num has no field 'base'"),
+        ],
+    )
+    def test_bad_digits_are_named_as_typed(self, line, detail):
+        with pytest.raises(errors.EvalError) as info:
+            gclang.eval_text(line)
+        assert str(info.value) == detail
+
+    def test_digit_values_are_named_as_given(self):
+        with pytest.raises(errors.EvalError, match="^tail digit 2 is outside base 2$"):
+            numeral(2, G, tail=(1, 2))
+        with pytest.raises(errors.EvalError, match="^head digit -1 is outside base 10$"):
+            numeral(10, G, head=(-1,))
+
+    def test_dense_zeros_are_built_in_linear_time(self):
+        start = time.perf_counter()
+        for _ in range(50):
+            x = numeral(10, 10 ** 4)
+        assert time.perf_counter() - start < 1.0
+        assert x.head == () and x.tail == ()
 
     def test_overfull_finite_length_rejected(self):
         with pytest.raises(errors.EvalError):
@@ -163,6 +198,12 @@ class TestCritical:
         with pytest.raises(errors.NotInfinite):
             critical(10, fin(5))
 
+    @pytest.mark.parametrize("target", [pow_count(2, G), pow_count(10, CritRef(10, G, 0))])
+    def test_exponential_target_is_not_a_polynomial(self, target):
+        with pytest.raises(errors.EvalError, match="need a polynomial target count") as info:
+            critical(10, target)
+        assert info.type is errors.EvalError
+
     def test_fractional_target_rejected(self):
         with pytest.raises(errors.EvalError):
             critical(10, G + fin(Fraction(1, 2)))
@@ -197,6 +238,14 @@ class TestCompare:
         a = numeral(10, G, tail=(2, 1))
         b = numeral(10, G, tail=(9,))
         assert compare_numerals(a, b) is Ordering.GREATER
+
+    def test_zones_that_meet_compare_as_whole_strings(self):
+        # past the dense limit a full string keeps the split it was given;
+        # 1|555…5 and 13|44…4 must not be compared as padded zones
+        n = 10 ** 4 + 1
+        x = numeral(10, n, head=(1,), tail=(5,) * (n - 1))
+        y = numeral(10, n, head=(1, 3), tail=(4,) * (n - 2))
+        assert compare_numerals(x, y) is Ordering.GREATER
 
     def test_mismatched_systems(self):
         with pytest.raises(errors.IncomparableSystems):
@@ -309,6 +358,138 @@ class TestPredecessor:
     def test_finite_borrow_across_gap(self):
         x = numeral(10, 6, head=(1,))
         assert _full(predecessor(x), 6) == (0, 9, 9, 9, 9, 9)
+
+
+# the successor and predecessor as two separate carry loops, and the
+# comparison as two index loops, kept as the references that the one carry
+# rule and the one zone comparison are checked against
+
+
+def reference_successor(x: InfNumeral) -> InfNumeral:
+    b = x.base
+    tail = list(x.tail)
+    carry = 1
+    for i in range(len(tail) - 1, -1, -1):
+        if not carry:
+            break
+        carry, tail[i] = divmod(tail[i] + 1, b)
+    if not carry:
+        return numeral(b, x.length, x.head, tuple(tail), x.sign)
+    gap = x.gap()
+    if gap is None or gap >= 1:
+        return numeral(b, x.length, x.head, (1,) + tuple(tail), x.sign)
+    head = list(x.head)
+    for i in range(len(head) - 1, -1, -1):
+        if not carry:
+            break
+        carry, head[i] = divmod(head[i] + 1, b)
+    if carry:
+        raise errors.Overflow("the maximal numeral has no successor")
+    return numeral(b, x.length, tuple(head), tuple(tail), x.sign)
+
+
+def reference_predecessor(x: InfNumeral) -> InfNumeral:
+    b = x.base
+    if x.tail:
+        tail = list(x.tail)
+        for i in range(len(tail) - 1, -1, -1):
+            tail[i] -= 1
+            if tail[i] >= 0:
+                break
+            tail[i] = b - 1
+        return numeral(b, x.length, x.head, tuple(tail), x.sign)
+    if not x.head:
+        raise errors.Underflow("the all-zeros numeral has no predecessor")
+    gap = x.gap()
+    if gap is None:
+        raise errors.Underflow(
+            "the predecessor would need infinitely many trailing nonzero digits"
+        )
+    if gap > gnum.MAX_ITEMS:
+        gnum.refuse(
+            errors.RepresentationLimit, "the predecessor needs {} explicit digits of {}", gap, b - 1
+        )
+    head = x.head[:-1] + (x.head[-1] - 1,)
+    return numeral(b, x.length, head, (b - 1,) * gap, x.sign)
+
+
+def reference_cmp_magnitude(x: InfNumeral, y: InfNumeral) -> int:
+    n = x.finite_length
+    if n is not None:
+        if len(x.head) + len(y.tail) > n or len(y.head) + len(x.tail) > n:
+            dx, dy = _full(x, n), _full(y, n)
+            return (dx > dy) - (dx < dy)
+    for i in range(max(len(x.head), len(y.head))):
+        dx = x.head[i] if i < len(x.head) else 0
+        dy = y.head[i] if i < len(y.head) else 0
+        if dx != dy:
+            return (dx > dy) - (dx < dy)
+    width = max(len(x.tail), len(y.tail))
+    for i in range(width):
+        dx = x.tail[i - width + len(x.tail)] if i >= width - len(x.tail) else 0
+        dy = y.tail[i - width + len(y.tail)] if i >= width - len(y.tail) else 0
+        if dx != dy:
+            return (dx > dy) - (dx < dy)
+    return 0
+
+
+_LENGTHS = [*range(1, 9), 10 ** 4 - 1, 10 ** 4, 10 ** 4 + 1, 2 * 10 ** 4, G, G / 2, G - 3]
+
+
+@st.composite
+def any_numeral(draw, base=None, length=None, sign=None):
+    """Numerals of every zone shape, with digits biased to 0 and b-1; a
+    finite string may have its middle filled with one digit, so that head
+    and tail meet."""
+    if base is None:
+        base = draw(st.integers(min_value=2, max_value=36))
+    if length is None:
+        length = draw(st.sampled_from(_LENGTHS))
+    if sign is None:
+        sign = draw(st.sampled_from(["", "+", "-"]))
+    digit = st.sampled_from([0, base - 1]) | st.integers(min_value=0, max_value=base - 1)
+    run = st.lists(digit, max_size=6).map(tuple)
+    head, tail = draw(run), draw(run)
+    n = length if isinstance(length, int) else length.as_int()
+    if n is not None:
+        head = head[:n]
+        tail = tail[: n - len(head)]
+        if draw(st.booleans()):
+            head += (draw(digit),) * (n - len(head) - len(tail))
+    return numeral(base, length, head, tail, sign)
+
+
+def _outcome(step, x):
+    try:
+        return step(x)
+    except errors.GrossError as err:
+        return type(err), str(err)
+
+
+@given(any_numeral())
+@settings(max_examples=400, deadline=None)
+def test_one_carry_rule_matches_the_reference(x):
+    assert _outcome(successor, x) == _outcome(reference_successor, x)
+    assert _outcome(predecessor, x) == _outcome(reference_predecessor, x)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_zone_comparison_matches_the_reference(data):
+    x = data.draw(any_numeral())
+    n = x.finite_length
+    if n is not None and data.draw(st.booleans()):
+        # x's string, perhaps with one digit changed, split into head and
+        # tail anywhere, so that a head block can reach the other tail block
+        digits = list(_full(x, n))
+        if data.draw(st.booleans()):
+            digits[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, x.base - 1))
+        split = data.draw(st.integers(0, n))
+        y = numeral(x.base, n, digits[:split], digits[split:], x.sign)
+    else:
+        y = data.draw(any_numeral(x.base, x.length, x.sign))
+    verdict = reference_cmp_magnitude(x, y)
+    assert compare_numerals(x, y).value == (-verdict if x.sign == "-" else verdict)
 
 
 # randomized round-trip on sparse numerals
