@@ -490,10 +490,14 @@ def _as_signed(v: _DualRoute) -> SignedMeasured:
 
 
 def _call_num(base, length, *fields):
-    for key, _ in fields:
+    given = {}
+    for key, text in fields:
         if key not in ("head", "tail", "sign"):
             raise EvalError(f"num has no field {key!r}")
-    return posnum.numeral(base, length, **dict(fields))
+        if key in given:
+            raise EvalError(f"num field {key!r} is given twice")
+        given[key] = text
+    return posnum.numeral(base, length, **given)
 
 
 # one row per call, see the module docstring; each library function is

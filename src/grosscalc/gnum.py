@@ -23,10 +23,11 @@ that no question walks its nested terms twice: its exponent depth, computed
 at construction from its exponents' stored depths; its hash, computed on
 first use; and an order key, a nested tuple built on first use that orders
 exactly as the values do, so ``_canon`` sorts by it and ``_cmp_poly`` is one
-tuple comparison.  The facts live on the value and go with it: there is no
-table of values and no memo that outlives an operation.  A product of two
-terms whose exponents are both rational adds the exponents as rationals, not
-as polynomials.
+tuple comparison.  One function, ``_order_key``, builds the keys of a value
+and of its negation, which a negative term needs for its exponent.  The
+facts live on the value and go with it: there is no table of values and no
+memo that outlives an operation.  A product of two terms whose exponents are
+both rational adds the exponents as rationals, not as polynomials.
 
 Exponential counts relate to one another through three rules, one function
 each, and each refuses with ExponentTooLarge a power it will not compute:
@@ -37,10 +38,15 @@ each, and each refuses with ExponentTooLarge a power it will not compute:
 * ``_cmp_remainder`` orders two ``b^P`` counts, of one base or two, once
   their leading exponent terms tie; ``_cmp_scaled_power`` guards its powers,
   of the bases by the exponent's numerator and of the multipliers by its
-  denominator.
+  denominator.  Leading exponent terms ``cx*G^e`` and ``cy*G^e`` of two
+  bases go through it too, as ``bx^(cx/cy)`` against ``by``.
 * ``_exponent_gap`` finds the integer ``k`` by which two exponents differ,
   for sums, differences and quotients; it refuses ``b^k`` past
   ``MAX_POWER_BITS`` bits, exactly as ``power`` does.
+
+A numeral base is checked in one place, ``_check_base``.  A coefficient is
+written in one, ``_scaled``, and a sum of terms in one, ``_join_terms``,
+for polynomials, exponential counts and critical-length offsets alike.
 
 Guards on work too large to do, in every module, compare against
 ``MAX_POWER_BITS`` or ``MAX_ITEMS`` read from here at call time, so one
@@ -110,14 +116,14 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _too_long(n: int) -> bool:
+def too_long(n: int) -> bool:
     """|n| > MAX_DIGITS digits; an ordinary int passes on one comparison."""
     return n.bit_length() >= _DIGIT_BOUND_BITS and abs(n) >= _DIGIT_BOUND
 
 
 def check_digits(n: int, what: str = "an integer") -> int:
     """n itself, or RepresentationLimit when |n| has more than MAX_DIGITS digits."""
-    if _too_long(n):
+    if too_long(n):
         raise RepresentationLimit(f"{what} has more than {MAX_DIGITS} digits")
     return n
 
@@ -129,7 +135,7 @@ def number_text(x: Union[int, Fraction]) -> str:
     if isinstance(x, Fraction) and x.denominator != 1:
         return f"{number_text(x.numerator)}/{number_text(x.denominator)}"
     n = int(x)
-    if _too_long(n):
+    if too_long(n):
         return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
     return str(n)
 
@@ -220,7 +226,7 @@ class GrossPoly(_Arithmetic):
 
     terms: Tuple[Tuple[Fraction, "GrossPoly"], ...] = ()
 
-    # filled in on first use by __hash__, _order_key and _order_neg_key
+    # filled in on first use by __hash__ and _order_key (of p and of -p)
     _hash = None
     _key = None
     _neg_key = None
@@ -280,8 +286,6 @@ class GrossPoly(_Arithmetic):
         other = _try_coerce(other)
         if isinstance(other, GrossPoly):
             return self.terms == other.terms
-        if isinstance(other, ExpCount):
-            return False
         return NotImplemented
 
     def __hash__(self):
@@ -338,42 +342,27 @@ def _canon(pairs) -> GrossPoly:
 _KEY_END = (0,)
 
 
-def _order_key(p: GrossPoly) -> tuple:
-    """A tuple that orders as p does among polynomial values, built once.
+def _order_key(p: GrossPoly, sign: int = 1) -> tuple:
+    """A tuple that orders as sign*p does among polynomial values, built on
+    first use for each sign; sign -1 reads the terms of -p, (-c, e), off p.
 
-    Term (c, e) becomes (sign c, key of e if c > 0 else key of -e, c),
-    mirroring a walk down both term lists: at the first term that differs,
-    a positive term against a negative one decides at once; between two
-    terms of one sign the larger exponent dominates, which makes a positive
-    value larger and a negative one smaller (hence the key of -e); equal
-    exponents leave the coefficients to decide.
+    Term (c, e) becomes (1, key of e, c) if c > 0 and (-1, key of -e, c) if
+    c < 0, mirroring a walk down both term lists: at the first term that
+    differs, a positive term against a negative one decides at once; between
+    two terms of one sign the larger exponent dominates, which makes a
+    positive value larger and a negative one smaller (hence the key of -e);
+    equal exponents leave the coefficients to decide.
     """
-    key = p._key
+    key = p._key if sign > 0 else p._neg_key
     if key is None:
         key = (
             *[
-                (1, _order_key(e), c) if c > 0 else (-1, _order_neg_key(e), c)
-                for c, e in p.terms
+                (1, _order_key(e), c) if c > 0 else (-1, _order_key(e, -1), c)
+                for c, e in (p.terms if sign > 0 else [(-c, e) for c, e in p.terms])
             ],
             _KEY_END,
         )
-        object.__setattr__(p, "_key", key)
-    return key
-
-
-def _order_neg_key(p: GrossPoly) -> tuple:
-    """_order_key of -p, built from p without negating it: the terms of -p
-    are (-c, e)."""
-    key = p._neg_key
-    if key is None:
-        key = (
-            *[
-                (1, _order_key(e), -c) if c < 0 else (-1, _order_neg_key(e), -c)
-                for c, e in p.terms
-            ],
-            _KEY_END,
-        )
-        object.__setattr__(p, "_neg_key", key)
+        object.__setattr__(p, "_key" if sign > 0 else "_neg_key", key)
     return key
 
 
@@ -416,6 +405,12 @@ def _pmul(x: GrossPoly, y: GrossPoly) -> GrossPoly:
     return _canon(acc)
 
 
+def _check_base(base) -> None:
+    """Refuse a numeral base that is not an integer >= 2."""
+    if not isinstance(base, int) or base < 2:
+        raise UnsupportedPower(f"numeral base must be an integer >= 2, got {base}")
+
+
 @dataclass(frozen=True)
 class CritRef:
     """Symbolic critical digit length: floor(log_base(target)) + offset.
@@ -429,8 +424,7 @@ class CritRef:
     offset: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise UnsupportedPower(f"numeral base must be an integer >= 2, got {self.base}")
+        _check_base(self.base)
         if classify(self.target) is not Classification.INFINITE_POSITIVE:
             raise NotInfinite("critical digit lengths require an infinite positive target")
 
@@ -449,7 +443,8 @@ class ExpCount(_Arithmetic):
     the exponent an infinite positive polynomial or a critical digit length
     for the same base.  The polynomial tail carries exact corrections such as
     the ``- 1`` of "all numerals except zero"; a count that a polynomial could
-    express is never stored in this form.
+    express is never stored in this form.  Equality and the hash are the
+    dataclass's, over the four fields, so no number or polynomial equals one.
     """
 
     multiplier: Fraction
@@ -461,8 +456,7 @@ class ExpCount(_Arithmetic):
         object.__setattr__(self, "multiplier", _as_fraction(self.multiplier))
         if self.multiplier <= 0:
             raise UnsupportedProduct("exponential counts must keep a positive multiplier")
-        if not isinstance(self.base, int) or self.base < 2:
-            raise UnsupportedPower(f"numeral base must be an integer >= 2, got {self.base}")
+        _check_base(self.base)
         if isinstance(self.exponent, GrossPoly):
             if classify(self.exponent) is not Classification.INFINITE_POSITIVE:
                 raise UnsupportedPower(
@@ -475,22 +469,6 @@ class ExpCount(_Arithmetic):
                 )
         else:
             raise TypeError(f"bad exponent {self.exponent!r}")
-
-    def __eq__(self, other):
-        other = _try_coerce(other)
-        if isinstance(other, ExpCount):
-            return (
-                self.multiplier == other.multiplier
-                and self.base == other.base
-                and self.exponent == other.exponent
-                and self.tail == other.tail
-            )
-        if isinstance(other, GrossPoly):
-            return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.multiplier, self.base, self.exponent, self.tail))
 
 
 GrossNumber = Union[GrossPoly, ExpCount]
@@ -682,11 +660,8 @@ def pow_count(base: int, k) -> GrossNumber:
     Finite k must be a non-negative integer and gives an exact rational
     power; infinite positive k gives an ExpCount; negative k is refused.
     """
-    if not isinstance(base, int) or base < 2:
-        raise UnsupportedPower(f"numeral base must be an integer >= 2, got {base}")
+    _check_base(base)
     if isinstance(k, CritRef):
-        if k.base != base:
-            raise UnsupportedPower("a critical digit length only exponentiates its own base")
         return ExpCount(Fraction(1), base, k)
     if isinstance(k, ExpCount):
         raise UnsupportedPower("exponential exponents leave the closure")
@@ -867,15 +842,6 @@ def _cmp_scaled_power(r1: Fraction, b1: int, f: Fraction, r2: Fraction, b2: int)
     return _sign(lhs - rhs)
 
 
-def _cmp_log_leading(c1: Fraction, b1: int, c2: Fraction, b2: int) -> int:
-    """Sign of c1*ln(b1) - c2*ln(b2) for positive rationals via integer powers."""
-    e1 = c1.numerator * c2.denominator
-    e2 = c2.numerator * c1.denominator
-    if max(e1, e2) * max(b1, b2).bit_length() > MAX_POWER_BITS:
-        refuse(ExponentTooLarge, "cross-power comparison exceeds the size guard")
-    return _sign(b1 ** e1 - b2 ** e2)
-
-
 def _cmp_cross_base(x: ExpCount, y: ExpCount) -> int:
     """Counts of different bases: exact comparison at leading order.
 
@@ -889,7 +855,8 @@ def _cmp_cross_base(x: ExpCount, y: ExpCount) -> int:
     ce = _cmp_poly(ex, ey)
     if ce:
         return ce  # leading coefficients of count exponents are positive
-    s = _cmp_log_leading(cx, x.base, cy, y.base)
+    # cx*ln(bx) against cy*ln(by), as bx^(cx/cy) against by since cy > 0
+    s = _cmp_scaled_power(1, x.base, Fraction(cx, cy), y.base, 1)
     if s:
         return s
     rx = GrossPoly(px.terms[1:])
@@ -906,11 +873,6 @@ def _cmp_cross_base(x: ExpCount, y: ExpCount) -> int:
 # every integer written passes check_digits first
 
 
-def _frac_str(f: Fraction) -> str:
-    n, d = check_digits(f.numerator), check_digits(f.denominator)
-    return str(n) if d == 1 else f"{n}/{d}"
-
-
 def _exp_str(e: GrossPoly) -> str:
     n = e.as_int()
     if n is not None and n >= 0:
@@ -918,43 +880,34 @@ def _exp_str(e: GrossPoly) -> str:
     return f"({render_poly(e)})"
 
 
-def _term_body(coeff: Fraction, exp: GrossPoly) -> str:
-    """Positive-coefficient term text: '3', 'G/55', '2*G', '3*G^2/4'."""
-    if exp.is_zero:
-        return _frac_str(coeff)
-    core = "G" if exp == ONE else f"G^{_exp_str(exp)}"
+def _scaled(coeff: Fraction, core: Optional[str]) -> str:
+    """coeff*core for a positive coeff: 'core', 'n*core', 'core/d', 'n*core/d';
+    with no core, coeff alone: 'n', 'n/d'."""
     n, d = check_digits(coeff.numerator), check_digits(coeff.denominator)
-    body = core if n == 1 else f"{n}*{core}"
-    if d != 1:
-        body += f"/{d}"
-    return body
+    text = str(n) if core is None else core if n == 1 else f"{n}*{core}"
+    return text if d == 1 else f"{text}/{d}"
 
 
-def _join_terms(pieces) -> str:
-    """Join (sign, body) pieces into '-a + b - c' form."""
-    out = []
-    for i, (sign_, body) in enumerate(pieces):
-        if i == 0:
-            out.append(("-" if sign_ < 0 else "") + body)
+def _join_terms(lead: str, terms) -> str:
+    """lead, then each (coefficient, exponent) term as ' + a' or ' - a'; with
+    an empty lead the first term is written 'a' or '-a'."""
+    text = lead
+    for c, e in terms:
+        body = _scaled(abs(c), None if e.is_zero else "G" if e == ONE else f"G^{_exp_str(e)}")
+        if text:
+            text += (" - " if c < 0 else " + ") + body
         else:
-            out.append((" - " if sign_ < 0 else " + ") + body)
-    return "".join(out)
+            text = ("-" if c < 0 else "") + body
+    return text
 
 
 def render_poly(p: GrossPoly) -> str:
-    if not p.terms:
-        return "0"
-    return _join_terms((_sign(c), _term_body(abs(c), e)) for c, e in p.terms)
+    return _join_terms("", p.terms) or "0"
 
 
 def render_critref(ref: CritRef) -> str:
     inner = f"crit({check_digits(ref.base)}, {render_poly(ref.target)})"
-    offset = check_digits(ref.offset)
-    if offset == 0:
-        return inner
-    if offset > 0:
-        return f"({inner} + {offset})"
-    return f"({inner} - {-offset})"
+    return f"({_join_terms(inner, ((ref.offset, ZERO),))})" if ref.offset else inner
 
 
 def render_gross(x: GrossNumber) -> str:
@@ -967,15 +920,5 @@ def render_gross(x: GrossNumber) -> str:
         exp_text = "G"
     else:
         exp_text = f"({render_poly(x.exponent)})"
-    core = f"{check_digits(x.base)}^{exp_text}"
-    n, d = check_digits(x.multiplier.numerator), check_digits(x.multiplier.denominator)
-    if n != 1:
-        core = f"{n}*{core}"
-    if d != 1:
-        core = f"{core}/{d}"
-    if not x.tail.terms:
-        return core
-    tail = _join_terms(
-        [(1, core)] + [(_sign(c), _term_body(abs(c), e)) for c, e in x.tail.terms]
-    )
-    return tail
+    core = _scaled(x.multiplier, f"{check_digits(x.base)}^{exp_text}")
+    return _join_terms(core, x.tail.terms)

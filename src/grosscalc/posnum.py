@@ -186,9 +186,7 @@ def signed_line_count(base: int) -> ExpCount:
 
 def float_count(base: int) -> ExpCount:
     """Signed mantissa times signed power: 4*b^(2G) distinct numerals."""
-    if not isinstance(base, int) or base < 2:
-        raise EvalError(f"radix must be an integer >= 2, got {base!r}")
-    return ExpCount(Fraction(4), base, 2 * G)
+    return 2 * signed_line_count(base)
 
 
 @dataclass(frozen=True)
@@ -373,9 +371,20 @@ def render_digits(x: InfNumeral) -> str:
     return f"{x.sign}0.{body}"
 
 
+def _count_tag(base: int, length: GrossPoly) -> str:
+    """The count b^N in a system's tag.  A finite count past gnum.MAX_DIGITS
+    digits is written b^N when N itself is not; the count is past them at
+    once when N reaches 4 * MAX_DIGITS, since 2^4 > 10."""
+    n = length.as_int()
+    if n is not None and not gnum.too_long(n):
+        if n >= 4 * gnum.MAX_DIGITS or gnum.too_long(base ** n):
+            return f"{base}^{n}"
+    return render_gross(numeral_count(base, length))
+
+
 def render_numeral(x: InfNumeral) -> str:
     """Digits plus the system tag: count of numerals and position count."""
-    count = render_gross(numeral_count(x.base, x.length))
+    count = _count_tag(x.base, x.length)
     return f"{render_digits(x)} [{count} positions: {render_gross(x.length)}]"
 
 

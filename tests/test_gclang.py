@@ -479,3 +479,22 @@ class TestTypeTags:
         )
         for text, tag in cases:
             assert type_tag(eval_text(text)) == tag, text
+
+
+class TestNumFields:
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ('tail: "Z", tail: "1"', "tail"),
+            ('tail: "1", tail: "1"', "tail"),
+            ('head: "1", tail: "2", head: "3"', "head"),
+            ('sign: "-", sign: "+"', "sign"),
+        ],
+    )
+    def test_a_repeated_field_is_refused(self, fields, key):
+        with pytest.raises(errors.EvalError, match=f"num field '{key}' is given twice"):
+            eval_text(f"num(10, G){{{fields}}}")
+
+    def test_each_field_once_is_accepted(self):
+        got = eval_text('num(10, G){sign: "-", tail: "1", head: "2"}')
+        assert got == numeral(10, G, head=(2,), tail=(1,), sign="-")

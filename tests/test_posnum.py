@@ -5,6 +5,7 @@ of positions can be enumerated exhaustively as digit strings, and every
 sparse-numeral operation must agree with plain string arithmetic on it.
 """
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grosscalc import errors, gclang, gnum
+from grosscalc import cli, errors, gclang, gnum
 from grosscalc.gnum import (
     CritRef,
     ExpCount,
@@ -562,3 +563,53 @@ class TestRender:
         x = numeral(10, length, head=head, tail=tail)
         assert render_digits(x) == "0." + "1" * len(head) + "2" * len(tail)
         assert render_digits(numeral(10, length, head=head)).endswith("1000…000")
+
+
+class TestLongCountTags:
+    """A finite count b^N past gnum.MAX_DIGITS digits is tagged b^N; shorter
+    counts keep their digits."""
+
+    @pytest.mark.parametrize(
+        "base, length, count",
+        [
+            (10, 4300, "10^4300"),
+            (10, 300000, "10^300000"),
+            (2, 14285, "2^14285"),
+            (36, 2763, "36^2763"),
+            (3, 10 ** 6, "3^1000000"),
+        ],
+    )
+    def test_long_counts_are_written_as_powers(self, base, length, count):
+        x = numeral(base, length, tail=(1,))
+        assert render_numeral(x).endswith(f" [{count} positions: {length}]")
+
+    @pytest.mark.parametrize("base, length", [(10, 4299), (2, 14284), (36, 2762), (10, 3)])
+    def test_counts_within_the_limit_keep_their_digits(self, base, length):
+        assert render_numeral(zeros(base, length)).endswith(
+            f" [{base ** length} positions: {length}]"
+        )
+
+    def test_a_length_past_the_limit_keeps_its_refusal(self):
+        tag = render_numeral(zeros(10, 10 ** 4299)).split(" [")[1]
+        assert tag == f"10^{10 ** 4299} positions: {10 ** 4299}]"
+        with pytest.raises(errors.ExponentTooLarge):
+            render_numeral(zeros(10, 10 ** 4300))
+
+    def test_a_long_numeral_prints_through_the_cli(self, capsys):
+        code = cli.run_line("num(10, 4300)", gclang.default_env(), json_mode=True, point=None)
+        out = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_OK and out["type"] == "numeral"
+        assert out["value"].endswith("[10^4300 positions: 4300]")
+
+
+class TestFloatCount:
+    def test_float_count_doubles_the_signed_line(self):
+        for base in (2, 10, 36):
+            assert float_count(base) == 2 * signed_line_count(base)
+            assert float_count(base) == ExpCount(Fraction(4), base, 2 * G)
+
+    @pytest.mark.parametrize("base", [1, 0, Fraction(5, 2)])
+    def test_bad_base_keeps_its_error(self, base):
+        with pytest.raises(errors.EvalError) as err:
+            float_count(base)
+        assert str(err.value) == f"radix must be an integer >= 2, got {base!r}"
