@@ -4,9 +4,11 @@ The value domain has two layers:
 
 * ``GrossPoly``: finite sums ``sum(c_i * G^e_i)`` where ``G`` is the infinite
   unit (the count of the whole set of natural numbers), the coefficients are
-  exact rationals, and the exponents are themselves gross-polynomials.  This
-  layer covers every set count such as ``G/2``, ``2*G + 1`` or ``G^2``, plus
-  the infinitesimals that appear as their reciprocals.
+  exact rationals, stored as an ``int`` when integral and as a ``Fraction``
+  otherwise (``_exact`` alone decides which), and the exponents are
+  themselves gross-polynomials.  This layer covers every set count such as
+  ``G/2``, ``2*G + 1`` or ``G^2``, plus the infinitesimals that appear as
+  their reciprocals.
 * ``ExpCount``: counts of positional numeral systems, ``r * b^E + tail`` with
   a finite integer base ``b >= 2`` and an infinite exponent ``E``.  The
   exponent is either a gross-polynomial or a symbolic critical digit length
@@ -35,11 +37,12 @@ each, and each refuses with ExponentTooLarge a power it will not compute:
 * ``_cmp_sandwich`` orders a critical count against a polynomial or another
   critical count by bounding their difference through the sandwich; it
   refuses offsets whose power passes ``MAX_POWER_BITS`` bits.
-* ``_cmp_remainder`` orders two ``b^P`` counts, of one base or two, once
-  their leading exponent terms tie; ``_cmp_scaled_power`` guards its powers,
-  of the bases by the exponent's numerator and of the multipliers by its
-  denominator.  Leading exponent terms ``cx*G^e`` and ``cy*G^e`` of two
-  bases go through it too, as ``bx^(cx/cy)`` against ``by``.
+* ``_cmp_remainder`` orders two ``b^P`` counts of one base by what is left
+  of their exponents; ``_cmp_scaled_power`` guards its powers, of the bases
+  by the exponent's numerator and of the multipliers by its denominator.
+  Leading exponent terms ``cx*G^e`` and ``cy*G^e`` of two bases go through
+  it too, as ``bx^(cx/cy)`` against ``by``, and an exact tie makes ``by``
+  the power ``bx^(cx/cy)``, so the pair is one of one base.
 * ``_exponent_gap`` finds the integer ``k`` by which two exponents differ,
   for sums, differences and quotients; it refuses ``b^k`` past
   ``MAX_POWER_BITS`` bits, exactly as ``power`` does.
@@ -157,11 +160,18 @@ def refuse(error: type, template: str, *numbers: Union[int, Fraction]) -> NoRetu
     raise error(template.format(*map(number_text, numbers)))
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value) -> Union[int, Fraction]:
+    """The stored form of an exact rational: an int as it is, a Fraction
+    with denominator 1 as its numerator, any other Fraction as it is.  Int
+    and Fraction compare and hash equal, so the form never changes a
+    verdict, a key or a rendering; it only spares integers Fraction's cost.
+    Anything else, floats included, is a TypeError."""
+    if type(value) is int:
         return value
+    if type(value) is Fraction or isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
@@ -214,8 +224,10 @@ class GrossPoly(_Arithmetic):
 
     ``terms`` is a tuple of ``(coefficient, exponent)`` pairs ordered by
     strictly decreasing exponent with no zero coefficients; the empty tuple
-    is zero.  Build values through :func:`make_poly`, :func:`fin` or the
-    arithmetic operators rather than the raw constructor.
+    is zero.  Each coefficient is an exact rational, an ``int`` when
+    integral and a ``Fraction`` otherwise, as ``_exact`` leaves it.  Build
+    values through :func:`make_poly`, :func:`fin` or the arithmetic
+    operators rather than the raw constructor.
 
     Every constructor call computes the exponent depth from the exponents'
     stored ``_depth`` and refuses one past ``MAX_EXPONENT_DEPTH``.  The hash
@@ -224,7 +236,7 @@ class GrossPoly(_Arithmetic):
     measurement, are never hashed or ordered.
     """
 
-    terms: Tuple[Tuple[Fraction, "GrossPoly"], ...] = ()
+    terms: Tuple[Tuple[Union[int, Fraction], "GrossPoly"], ...] = ()
 
     # filled in on first use by __hash__ and _order_key (of p and of -p)
     _hash = None
@@ -245,16 +257,16 @@ class GrossPoly(_Arithmetic):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Union[int, Fraction]:
         for coeff, exp in self.terms:
             if exp.is_zero:
                 return coeff
-        return Fraction(0)
+        return 0
 
-    def as_rational(self) -> Optional[Fraction]:
+    def as_rational(self) -> Union[int, Fraction, None]:
         """The exact rational value, or None if any G power is present."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and self.terms[0][1].is_zero:
             return self.terms[0][0]
         return None
@@ -300,28 +312,28 @@ class GrossPoly(_Arithmetic):
 
 
 ZERO = GrossPoly()
-ONE = GrossPoly(((Fraction(1), ZERO),))
-GROSSONE = GrossPoly(((Fraction(1), ONE),))
+ONE = GrossPoly(((1, ZERO),))
+GROSSONE = GrossPoly(((1, ONE),))
 G = GROSSONE
 
 
 def fin(value) -> GrossPoly:
     """The finite gross-number equal to the given int or Fraction."""
-    coeff = _as_fraction(value)
-    if coeff == 0:
+    coeff = _exact(value)
+    if not coeff:
         return ZERO
     return GrossPoly(((coeff, ZERO),))
 
 
 def gterm(coeff, exp: GrossPoly) -> GrossPoly:
     """The single-term value ``coeff * G^exp``."""
-    coeff = _as_fraction(coeff)
-    if coeff == 0:
+    coeff = _exact(coeff)
+    if not coeff:
         return ZERO
     return GrossPoly(((coeff, exp),))
 
 
-def make_poly(pairs: Iterable[Tuple[Fraction, GrossPoly]]) -> GrossPoly:
+def make_poly(pairs: Iterable[Tuple[Union[int, Fraction], GrossPoly]]) -> GrossPoly:
     """Canonicalize arbitrary ``(coeff, exponent)`` pairs into a GrossPoly."""
     return _canon(pairs)
 
@@ -329,10 +341,9 @@ def make_poly(pairs: Iterable[Tuple[Fraction, GrossPoly]]) -> GrossPoly:
 def _canon(pairs) -> GrossPoly:
     acc = {}
     for coeff, exp in pairs:
-        coeff = _as_fraction(coeff)
         if coeff:
             acc[exp] = acc[exp] + coeff if exp in acc else coeff
-    items = [(coeff, exp) for exp, coeff in acc.items() if coeff]
+    items = [(_exact(coeff), exp) for exp, coeff in acc.items() if coeff]
     items.sort(key=lambda term: _order_key(term[1]), reverse=True)
     return GrossPoly(tuple(items))
 
@@ -386,11 +397,11 @@ def _psub(x: GrossPoly, y: GrossPoly) -> GrossPoly:
     return _padd(x, _pneg(y))
 
 
-def _pscale(x: GrossPoly, factor: Fraction) -> GrossPoly:
-    factor = _as_fraction(factor)
-    if factor == 0:
+def _pscale(x: GrossPoly, factor: Union[int, Fraction]) -> GrossPoly:
+    factor = _exact(factor)
+    if not factor:
         return ZERO
-    return GrossPoly(tuple((c * factor, e) for c, e in x.terms))
+    return GrossPoly(tuple((_exact(c * factor), e) for c, e in x.terms))
 
 
 def _pmul(x: GrossPoly, y: GrossPoly) -> GrossPoly:
@@ -447,13 +458,13 @@ class ExpCount(_Arithmetic):
     dataclass's, over the four fields, so no number or polynomial equals one.
     """
 
-    multiplier: Fraction
+    multiplier: Union[int, Fraction]
     base: int
     exponent: ExpExponent
     tail: GrossPoly = ZERO
 
     def __post_init__(self):
-        object.__setattr__(self, "multiplier", _as_fraction(self.multiplier))
+        object.__setattr__(self, "multiplier", _exact(self.multiplier))
         if self.multiplier <= 0:
             raise UnsupportedProduct("exponential counts must keep a positive multiplier")
         _check_base(self.base)
@@ -554,11 +565,10 @@ def _combine_exp(x: ExpCount, y: ExpCount, subtract: bool) -> GrossNumber:
     k = _exponent_gap(x, y)
     if k is None:
         raise UnsupportedSum("exponential counts with incompatible exponents do not combine")
-    base = Fraction(x.base)
-    ry = y.multiplier * base ** max(-k, 0)
+    ry = y.multiplier * x.base ** max(-k, 0)
     if subtract:
         ry = -ry
-    multiplier = x.multiplier * base ** max(k, 0) + ry
+    multiplier = x.multiplier * x.base ** max(k, 0) + ry
     tail = _psub(x.tail, y.tail) if subtract else _padd(x.tail, y.tail)
     if multiplier == 0:
         return tail
@@ -633,7 +643,7 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
             raise NonExactDivision("an exponential count only divides by rationals or its own kind")
         if len(y.terms) == 1:
             dc, de = y.terms[0]
-            return _canon((c / dc, _psub(e, de)) for c, e in x.terms)
+            return _canon((Fraction(c) / dc, _psub(e, de)) for c, e in x.terms)
         raise NonExactDivision("division by multi-term values is not supported")
     # y is ExpCount
     if isinstance(x, GrossPoly):
@@ -642,7 +652,7 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         raise NonExactDivision("corrected counts do not divide")
     if x.base != y.base:
         raise NonExactDivision("exponential counts with different bases do not divide")
-    ratio = x.multiplier / y.multiplier
+    ratio = Fraction(x.multiplier, y.multiplier)
     k = _exponent_gap(x, y)
     if k is not None:
         # the unknown or infinite power cancels exactly
@@ -662,7 +672,7 @@ def pow_count(base: int, k) -> GrossNumber:
     """
     _check_base(base)
     if isinstance(k, CritRef):
-        return ExpCount(Fraction(1), base, k)
+        return ExpCount(1, base, k)
     if isinstance(k, ExpCount):
         raise UnsupportedPower("exponential exponents leave the closure")
     if isinstance(k, (int, Fraction)):
@@ -679,7 +689,7 @@ def pow_count(base: int, k) -> GrossNumber:
         return power(fin(base), n)
     if cls is Classification.INFINITESIMAL:
         raise NonIntegerExponent("infinitesimal exponents do not yield counts")
-    return ExpCount(Fraction(1), base, k)
+    return ExpCount(1, base, k)
 
 
 def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
@@ -720,7 +730,7 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
             raise DivisionByZero("0 cannot be raised to a negative power")
         if max(abs(r.numerator), r.denominator).bit_length() * abs(n) > MAX_POWER_BITS:
             refuse(ExponentTooLarge, "{}^{} will not be materialized", r, n)
-        return fin(r ** n)
+        return fin(Fraction(r) ** n)
     if n is None or n < 0:
         raise UnsupportedPower(
             f"{count_text(x)} only takes finite non-negative integer powers"
@@ -741,8 +751,8 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
 def compare(x: GrossNumber, y: GrossNumber) -> Ordering:
     """Exact total order on the supported closure.
 
-    Raises Undetermined where only sandwich bounds are known (some mixed
-    critical-length comparisons, and cross-base ties past leading order).
+    Raises Undetermined where only sandwich bounds are known: some
+    comparisons of critical-length counts.
     """
     return Ordering(_cmp_gross(_coerce(x), _coerce(y)))
 
@@ -764,8 +774,7 @@ def _cmp_gross(x: GrossNumber, y: GrossNumber) -> int:
         # exceeds all of them
         return -1 if xc else 1
     if x.base == y.base:
-        # divided by b^Py, the counts leave b^(Px - Py) against 1^(Px - Py)
-        return _cmp_remainder(x, y, _psub(x.exponent, y.exponent), x.base, 1)
+        return _cmp_remainder(x, y, _psub(x.exponent, y.exponent))
     return _cmp_cross_base(x, y)
 
 
@@ -794,7 +803,7 @@ def _cmp_sandwich(x: ExpCount, y: GrossNumber) -> int:
         return _cmp_poly(rest, ZERO)
     lower = upper = rest
     for (base, target), c in coeffs.items():
-        at_top, at_bottom = _pscale(target, c), _pscale(target, c / base)
+        at_top, at_bottom = _pscale(target, c), _pscale(target, Fraction(c) / base)
         lo, hi = (at_bottom, at_top) if c > 0 else (at_top, at_bottom)
         lower, upper = _padd(lower, lo), _padd(upper, hi)
     if _cmp_poly(lower, ZERO) >= 0:
@@ -808,27 +817,30 @@ def _cmp_sandwich(x: ExpCount, y: GrossNumber) -> int:
     )
 
 
-def _cmp_remainder(x: ExpCount, y: ExpCount, r: GrossPoly, bx: int, by: int) -> int:
-    """Sign of x - y once both are divided by a common power of their bases.
+def _cmp_remainder(x: ExpCount, y: ExpCount, r: GrossPoly) -> int:
+    """Sign of x - y for y a count of x's base b with exponent P - r, where P
+    is x's exponent, once both are divided by b^(P - r).
 
-    What is left is mx*bx^r against my*by^r: an infinite r, or the
-    (in)finitesimal part of r, goes the way of the larger base, a finite
+    What is left is mx*b^r against my: an infinite r, or the
+    (in)finitesimal part of r, decides by its sign since b >= 2, a finite
     rational r is compared exactly, and the tails decide an exact tie.
     """
     if classify(r) in (Classification.INFINITE_POSITIVE, Classification.INFINITE_NEGATIVE):
-        return _sign(r.terms[0][0]) * _sign(bx - by)
+        return _sign(r.terms[0][0])
     const = r.constant_term()
-    s = _cmp_scaled_power(x.multiplier, bx, const, y.multiplier, by)
+    s = _cmp_scaled_power(x.multiplier, x.base, const, y.multiplier, 1)
     if s:
         return s
     eps = _psub(r, fin(const))
     if eps.terms:
         # b^eps is 1 plus an (in)finitesimal of the sign of eps
-        return _sign(eps.terms[0][0]) * _sign(bx - by)
+        return _sign(eps.terms[0][0])
     return _cmp_poly(x.tail, y.tail)
 
 
-def _cmp_scaled_power(r1: Fraction, b1: int, f: Fraction, r2: Fraction, b2: int) -> int:
+def _cmp_scaled_power(
+    r1: Union[int, Fraction], b1: int, f: Union[int, Fraction], r2: Union[int, Fraction], b2: int
+) -> int:
     """Sign of r1*b1^f - r2*b2^f for an exact rational f, compared as
     r1^q * b1^p against r2^q * b2^p for f = p/q."""
     q = f.denominator
@@ -843,11 +855,11 @@ def _cmp_scaled_power(r1: Fraction, b1: int, f: Fraction, r2: Fraction, b2: int)
 
 
 def _cmp_cross_base(x: ExpCount, y: ExpCount) -> int:
-    """Counts of different bases: exact comparison at leading order.
+    """Counts of different bases, ordered by their leading exponent terms.
 
-    Ties deeper than the leading exponent term are resolved exactly when the
-    exponent remainders coincide; remainders that differ are an honest
-    Undetermined, since counting identities never compare such pairs.
+    Leading terms cx*G^e and cy*G^e tie exactly when by == bx^(cx/cy); then
+    y is a count of base bx with exponent (cx/cy)*Py, and the rest is the
+    one-base comparison of what is left over.
     """
     px, py = x.exponent, y.exponent
     (cx, ex) = px.terms[0]
@@ -856,17 +868,11 @@ def _cmp_cross_base(x: ExpCount, y: ExpCount) -> int:
     if ce:
         return ce  # leading coefficients of count exponents are positive
     # cx*ln(bx) against cy*ln(by), as bx^(cx/cy) against by since cy > 0
-    s = _cmp_scaled_power(1, x.base, Fraction(cx, cy), y.base, 1)
+    ratio = Fraction(cx, cy)
+    s = _cmp_scaled_power(1, x.base, ratio, y.base, 1)
     if s:
         return s
-    rx = GrossPoly(px.terms[1:])
-    ry = GrossPoly(py.terms[1:])
-    if rx != ry:
-        raise Undetermined(
-            f"{count_text(x)} vs {count_text(y)}: tied at leading order with "
-            "different exponent remainders"
-        )
-    return _cmp_remainder(x, y, rx, x.base, y.base)
+    return _cmp_remainder(x, y, _psub(px, _pscale(py, ratio)))
 
 
 # rendering (the inverse of the expression-language parser on canonical forms);

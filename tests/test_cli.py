@@ -167,8 +167,6 @@ class TestRepl:
         ("numerals(10, crit(10, G) + 2) < numerals(10, crit(10, 3*G) + 1)",
          {"lower": "-20*G", "upper": "97*G"}),
         ("G/2 > numerals(10, crit(10, G))", {"lower": "-2*G/5", "upper": "G/2"}),
-        # tied at leading order: no sandwich was built
-        ("numerals(2, G) < numerals(4, G/2 + 1/3)", None),
         # bounds with 5000-digit coefficients cannot be written
         ("numerals(10, crit(10, G) + 5000) < numerals(10, crit(10, 3*G) + 4999)", None),
     ],
@@ -179,6 +177,13 @@ def test_undetermined_bounds_in_json(line, bounds, capsys):
     assert error["kind"] == "Undetermined"
     assert error.get("bounds") == bounds
     assert set(error) == {"kind", "detail"} | ({"bounds"} if bounds else set())
+
+
+def test_cross_base_tie_is_decided_in_json(capsys):
+    # 4^(G/2 + 1/3) = 2^(G + 2/3) > 2^G
+    line = "numerals(2, G) < numerals(4, G/2 + 1/3)"
+    assert cli.run_line(line, gclang.default_env(), json_mode=True, point=None) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"input": line, "value": "true", "type": "bool"}
 
 
 @pytest.mark.parametrize("line", ["G/0", "2^G - 3^G", "2^20000", "card(", "members(N)"])

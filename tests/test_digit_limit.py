@@ -76,11 +76,9 @@ _LONG = "<a count with a number past 4300 digits>"
             "Undetermined",
             f"{_LONG} vs {_LONG} is not resolvable from the sandwich",
         ),
-        (
-            "2^(2*G + 10^5000) < 4^G",
-            "Undetermined",
-            f"{_LONG} vs 4^G: tied at leading order with different exponent remainders",
-        ),
+        # 4^G = 2^(2G), so the comparison is 2^(10^5000) against 1
+        ("2^(2*G + 10^5000) < 4^G", "ExponentTooLarge",
+         "cross-power comparison exceeds the size guard"),
         ("(G + 10^5000)^G", "UnsupportedPower",
          f"{_LONG} only takes finite non-negative integer powers"),
         ("observe(piraha, -10^5000)", "NegativeCount", f"{_LONG} is not a count"),
@@ -123,7 +121,7 @@ def test_messages_name_long_operands_without_their_digits(line, kind, detail, ca
 
 
 def test_operands_in_range_are_written_out(capsys):
-    _, out = _run("2^(2*G + 1) < 4^G", capsys)
+    _, out = _run("2*numerals(10, crit(10, G)) < G", capsys)
     assert out["error"]["detail"] == (
-        "2^(2*G + 1) vs 4^G: tied at leading order with different exponent remainders"
+        "2*10^crit(10, G) vs G is not resolvable from the sandwich"
     )

@@ -3,6 +3,9 @@
 * The critical-length sandwich: every verdict ``compare`` decides between a
   critical count and a polynomial or another critical count must hold at
   concrete substitution points, checked through ``oracle.check_order``.
+* Counts of two bases: every verdict holds at substitution points too,
+  including pairs whose leading exponent terms tie, where ``by`` is a power
+  of ``bx`` and the pair compares as counts of one base.
 * The exponent gap behind sums, differences and quotients: ``b^k`` is
   refused exactly when ``power`` refuses it, and fast.
 * The sandwich's own size guard on critical-length offsets.
@@ -115,6 +118,54 @@ def test_undetermined_bounds_hold_under_substitution(pair):
         assert subst(lower, point) <= diff <= subst(upper, point)
 
 
+# Counts of two bases with exponents a*G + d, d an integer.  Leading
+# coefficients have denominators 2 and 3, and a tie scales one by i/j for
+# i, j <= 3, so every exponent substitutes to an integer at points
+# divisible by 36.  The smallest nonzero gap between free leading terms,
+# |ln(8^(2/3)) - ln(3)| = 0.0196 per unit of G, is about 118 at the first
+# point: far beyond the constants and multipliers it must beat.
+CROSS_POINTS = (6012, 12024)
+CROSS_BASES = (2, 4, 8, 3, 9, 27, 10, 100)
+# (f, i) for the bases f^1 .. f^i of one family
+FAMILIES = ((2, 3), (3, 3), (10, 2))
+_leads = st.sampled_from([Fraction(n, d) for n, d in
+                          ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))])
+_cross_multipliers = st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, 2, 3, 4, 8, 9])
+_offsets = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def cross_base_pairs(draw):
+    """Two counts of different bases.  Half the pairs are drawn freely; the
+    other half have bases f^i and f^j and leading terms that tie, and half
+    of those are equal powers outright, so that their tails decide."""
+    ax, dx, dy = draw(_leads), draw(_offsets), draw(_offsets)
+    mx, my = draw(_cross_multipliers), draw(_cross_multipliers)
+    if draw(st.booleans()):
+        bx, by = draw(st.lists(st.sampled_from(CROSS_BASES), min_size=2, max_size=2,
+                               unique=True))
+        ay = draw(_leads)
+    else:
+        f, top = draw(st.sampled_from(FAMILIES))
+        i, j = draw(st.lists(st.integers(min_value=1, max_value=top), min_size=2,
+                             max_size=2, unique=True))
+        bx, by, ay = f ** i, f ** j, ax * Fraction(i, j)
+        if draw(st.booleans()):
+            # mx * f^(i*(ax*G + dx)) == my * f^(j*(ay*G + dy))
+            my = mx * Fraction(f) ** (i * dx - j * dy)
+    x = ExpCount(mx, bx, ax * G + dx, draw(tails))
+    y = ExpCount(my, by, ay * G + dy, draw(tails))
+    return x, y
+
+
+@given(cross_base_pairs())
+@settings(max_examples=300, deadline=None)
+def test_cross_base_verdicts_hold_under_substitution(pair):
+    x, y = pair
+    report = check_order(x, y, CROSS_POINTS)
+    assert report.match, str(report)
+
+
 class TestSandwich:
     def test_undetermined_names_the_critical_side_first(self):
         k1 = pow_count(10, CritRef(10, G, 0))
@@ -127,11 +178,6 @@ class TestSandwich:
         with pytest.raises(errors.Undetermined) as info:
             compare(G / 2, pow_count(10, CritRef(10, G, 0)))
         assert (info.value.lower, info.value.upper) == (-2 * G / 5, G / 2)
-
-    def test_cross_base_undetermined_carries_no_bounds(self):
-        with pytest.raises(errors.Undetermined) as info:
-            compare(pow_count(4, G + 1), pow_count(2, 2 * G + 3))
-        assert (info.value.lower, info.value.upper) == (None, None)
 
     def test_cancelling_coefficients_leave_the_tails(self):
         # 10 * 10^crit(10, G) is 10^(crit(10, G) + 1), whatever crit is
@@ -164,6 +210,25 @@ class TestSandwich:
 
 
 class TestRemainder:
+    def test_cross_base_tie_compares_as_one_base(self):
+        cases = [
+            # 4^(G + 1) = 2^(2G + 2) against 2^(2G + 3)
+            (pow_count(4, G + 1), pow_count(2, 2 * G + 3), -1),
+            # 2^(G + 1) = 2 * 4^(G/2)
+            (pow_count(2, G + 1), pow_count(4, G / 2), 1),
+            # 8^(G/3) = 2^G = 2^(G + 1) / 2
+            (pow_count(8, G / 3), pow_count(2, G + 1), -1),
+            # 4^(G/2 + 1/3) = 2^(G + 2/3)
+            (pow_count(2, G), pow_count(4, G / 2 + Fraction(1, 3)), -1),
+            # 9^(G^2 + G) = 3^(2G^2 + 2G); the infinite rest decides
+            (pow_count(3, 2 * G ** 2 + G), pow_count(9, G ** 2 + G), -1),
+            # equal powers: the tails decide
+            (add(pow_count(4, G), fin(1)), pow_count(2, 2 * G), 1),
+        ]
+        for x, y, verdict in cases:
+            assert compare(x, y) is Ordering(verdict), (x, y)
+            assert compare(y, x) is Ordering(-verdict), (x, y)
+
     @pytest.mark.parametrize("r, verdict", [(G ** -1, 1), (-(G ** -1), -1), (G, 1)])
     def test_remainder_goes_the_way_of_the_larger_base(self, r, verdict):
         # 4^(G^2) == 2^(2G^2); what is left over, r, weighs 4^r against 2^r

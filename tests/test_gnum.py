@@ -327,9 +327,10 @@ class TestCompare:
         # 4^(G + 1) = 4 * 4^G > 2 * 4^G = 2^(2G + 1)
         assert compare(pow_count(4, G + 1), pow_count(2, 2 * G + 1)) is Ordering.GREATER
 
-    def test_cross_base_differing_remainders_undetermined(self):
-        with pytest.raises(errors.Undetermined):
-            compare(pow_count(4, G + 1), pow_count(2, 2 * G + 3))
+    def test_cross_base_differing_remainders_decided(self):
+        # 4^(G + 1) = 2^(2G + 2) < 2^(2G + 3)
+        assert compare(pow_count(4, G + 1), pow_count(2, 2 * G + 3)) is Ordering.LESS
+        assert compare(pow_count(2, 2 * G + 3), pow_count(4, G + 1)) is Ordering.GREATER
 
     def test_tail_breaks_ties(self):
         full = pow_count(10, G)
