@@ -41,8 +41,8 @@ canonical residue record and as the expression tree it was built from,
 and its two empty subclasses only tell a subset of N (MeasuredSet) from a
 subset of Z (SignedMeasured, whose record and tree are both
 setmeasure.SignedSet containers).  The record answers algebraic questions
-(cardinality, rendering); the tree answers extensional ones (membership,
-finite enumeration), so every measurement stays checkable against brute
+(cardinality, rendering); the tree answers the extensional one (its members
+in 1..L, as a bitmask), so every measurement stays checkable against brute
 force.  The two are never merged.  A card result is a SetCount: the count,
 holding the set it counted, so the oracle checks that set as printed.
 

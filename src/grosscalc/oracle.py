@@ -83,7 +83,7 @@ def subst(x: Union[GrossNumber, CritRef], L: int) -> Fraction:
     if not isinstance(L, int) or L < 2:
         raise InvalidL(f"substitution point must be an integer >= 2, got {L!r}")
     if isinstance(x, GrossPoly):
-        return _subst_poly(x, L)
+        return Fraction(_subst_poly(x, L))
     if isinstance(x, ExpCount):
         exponent = x.exponent
         if isinstance(exponent, CritRef):
@@ -102,7 +102,7 @@ def subst(x: Union[GrossNumber, CritRef], L: int) -> Fraction:
             )
         if k * x.base.bit_length() > gnum.MAX_POWER_BITS:
             gnum.refuse(ExponentTooLarge, _POWER_REFUSAL, x.base, k, gnum.MAX_POWER_BITS)
-        return x.multiplier * Fraction(x.base) ** k + _subst_poly(x.tail, L)
+        return Fraction(x.multiplier * x.base ** k + _subst_poly(x.tail, L))
     if isinstance(x, CritRef):
         return Fraction(_subst_critref(x, L))
     raise TypeError(f"cannot substitute into {x!r}")
@@ -118,8 +118,9 @@ def _subst_critref(ref: CritRef, L: int) -> int:
     return int_log_floor(ref.base, int(target)) + ref.offset
 
 
-def _subst_poly(p: GrossPoly, L: int) -> Fraction:
-    total = Fraction(0)
+def _subst_poly(p: GrossPoly, L: int) -> Union[int, Fraction]:
+    """p at G := L, an int while every coefficient and power is integral."""
+    total = 0
     for coeff, exp in p.terms:
         e = _subst_poly(exp, L)
         if e.denominator != 1:
@@ -129,7 +130,7 @@ def _subst_poly(p: GrossPoly, L: int) -> Fraction:
         e = int(e)
         if abs(e) * L.bit_length() > gnum.MAX_POWER_BITS:
             gnum.refuse(ExponentTooLarge, _POWER_REFUSAL, L, abs(e), gnum.MAX_POWER_BITS)
-        total += coeff * Fraction(L) ** e
+        total += coeff * (L ** e if e >= 0 else Fraction(1, L ** -e))
     return total
 
 
@@ -151,9 +152,24 @@ class SubstReport:
         )
 
 
+def _check_brute_point(L: int) -> None:
+    """Refuse L outside 1..gnum.MAX_ITEMS, the points brute force can count."""
+    if L < 1:
+        raise InvalidL(f"L={L} is not a positive integer")
+    if L > gnum.MAX_ITEMS:
+        gnum.refuse(InvalidL, "L={} exceeds the cap of {} points counted by brute force",
+                    L, gnum.MAX_ITEMS)
+
+
 def brute_count(expr: Union[SetExpr, SignedSet], L: int) -> int:
-    """Count members extensionally: {1..L} for natural sets, {-L..L} signed."""
-    return len(expr.enumerate_upto(L))
+    """Count members extensionally: {1..L} for natural sets, {-L..L} signed,
+    as the bits of each tree part's mask (plus a signed set's zero flag),
+    which the tree decides alone, never reading a residue record."""
+    _check_brute_point(L)
+    if isinstance(expr, SignedSet):
+        return (expr.negatives.mask_upto(L).bit_count() + expr.has_zero
+                + expr.positives.mask_upto(L).bit_count())
+    return expr.mask_upto(L).bit_count()
 
 
 def _exception_ceiling(subset) -> int:
@@ -175,9 +191,7 @@ def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
 def check_set(expr: Union[SetExpr, SignedSet], record, L: int) -> SubstReport:
     """check_card against a given record of expr, such as the one a
     calculator value printed, rather than one rebuilt from the tree."""
-    if L > gnum.MAX_ITEMS:
-        gnum.refuse(InvalidL, "L={} exceeds the cap of {} points counted by brute force",
-                    L, gnum.MAX_ITEMS)
+    _check_brute_point(L)
     parts = (record.negatives, record.positives) if isinstance(record, SignedSet) else (record,)
     for part in parts:
         if L % part.modulus != 0:

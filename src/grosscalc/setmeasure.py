@@ -8,8 +8,8 @@ first G naturals, for every finite d.
 The module keeps two independent routes to every set:
 
 * the canonical ``NatSubset`` algebra used for symbolic counting, and
-* ``SetExpr`` trees that remember how a set was built and can enumerate it
-  extensionally, with no reference to the residue algebra.
+* ``SetExpr`` trees that remember how a set was built and write its members
+  in {1..L} as a bitmask, with no reference to the residue algebra.
 
 ``SignedSet`` extends both routes to {-G..G}: one container, generic over its
 part, holds mirrored negatives, an explicit zero flag and positives, where
@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,11 +51,12 @@ class SetOp(Enum):
     DIFFERENCE = "\\"
 
 
-# membership of x in s op t, from membership in s and in t
+# membership of x in s op t, from membership in s and in t: on bools, or bit
+# by bit on masks with bit x set for member x ("a and not b" is a & (a ^ b))
 _MEMBERSHIP = {
-    SetOp.UNION: lambda a, b: a or b,
-    SetOp.INTERSECT: lambda a, b: a and b,
-    SetOp.DIFFERENCE: lambda a, b: a and not b,
+    SetOp.UNION: operator.or_,
+    SetOp.INTERSECT: operator.and_,
+    SetOp.DIFFERENCE: lambda a, b: a & (a ^ b),
 }
 
 
@@ -291,20 +293,17 @@ def members(s: NatSubset, n: int) -> Tuple[int, ...]:
 # Set expressions: the independent extensional route.
 #
 # These trees are the other half of the dual bookkeeping: build() runs the
-# residue algebra above, while contains()/enumerate_upto() evaluate the
-# defining predicate directly, one element at a time, so the two can be
-# compared against each other by the oracle.
+# residue algebra above, while mask_upto() evaluates the defining predicate
+# directly over {1..limit}, as one int with bit x set for member x, so the
+# two can be compared against each other by the oracle.
 # ---------------------------------------------------------------------------
 
 
 class SetExpr:
     """A recipe for a subset of the naturals."""
 
-    def contains(self, x: int) -> bool:
-        raise NotImplementedError
-
-    def enumerate_upto(self, limit: int) -> set:
-        """The extension within {1..limit}, computed without the algebra."""
+    def mask_upto(self, limit: int) -> int:
+        """The members in {1..limit}, bit x set for member x, without the algebra."""
         raise NotImplementedError
 
     def build(self) -> NatSubset:
@@ -321,11 +320,13 @@ class SetExpr:
 class FiniteSetE(SetExpr):
     elems: FrozenSet[int]
 
-    def contains(self, x):
-        return x in self.elems
-
-    def enumerate_upto(self, limit):
-        return {e for e in self.elems if 1 <= e <= limit}
+    def mask_upto(self, limit):
+        # bytes, not an int: setting each bit of an int copies the whole int
+        bits = bytearray(limit // 8 + 1)
+        for e in self.elems:
+            if 0 < e <= limit:
+                bits[e >> 3] |= 1 << (e & 7)
+        return int.from_bytes(bits, "little")
 
     def build(self):
         return finite_set(self.elems)
@@ -339,11 +340,18 @@ class ProgressionE(SetExpr):
     first: int
     step: int
 
-    def contains(self, x):
-        return x >= self.first and (x - self.first) % self.step == 0
-
-    def enumerate_upto(self, limit):
-        return set(range(self.first, limit + 1, self.step))
+    def mask_upto(self, limit):
+        if self.first > limit:
+            return 0
+        # one bit per step, doubled to at least count members, then shifted
+        # right by whole steps to drop the extra ones: the closed form
+        # (2^(step*count) - 1) / (2^step - 1) is quadratic for a wide step
+        count = (limit - self.first) // self.step + 1
+        mask, have = 1, 1
+        while have < count:
+            mask |= mask << have * self.step
+            have *= 2
+        return mask >> (have - count) * self.step << self.first
 
     def build(self):
         return progression(self.first, self.step)
@@ -354,11 +362,8 @@ class ProgressionE(SetExpr):
 
 @dataclass(frozen=True)
 class UniverseNE(SetExpr):
-    def contains(self, x):
-        return x >= 1
-
-    def enumerate_upto(self, limit):
-        return set(range(1, limit + 1))
+    def mask_upto(self, limit):
+        return (1 << limit + 1) - 2  # bits 1..limit
 
     def build(self):
         return NATURALS
@@ -373,17 +378,8 @@ class CombineE(SetExpr):
     left: SetExpr
     right: SetExpr
 
-    def contains(self, x):
-        return _MEMBERSHIP[self.op](self.left.contains(x), self.right.contains(x))
-
-    def enumerate_upto(self, limit):
-        a = self.left.enumerate_upto(limit)
-        b = self.right.enumerate_upto(limit)
-        if self.op is SetOp.UNION:
-            return a | b
-        if self.op is SetOp.INTERSECT:
-            return a & b
-        return a - b
+    def mask_upto(self, limit):
+        return _MEMBERSHIP[self.op](self.left.mask_upto(limit), self.right.mask_upto(limit))
 
     def build(self):
         return combine(self.op, self.left.build(), self.right.build())
@@ -396,11 +392,8 @@ class CombineE(SetExpr):
 class ComplementE(SetExpr):
     inner: SetExpr
 
-    def contains(self, x):
-        return x >= 1 and not self.inner.contains(x)
-
-    def enumerate_upto(self, limit):
-        return set(range(1, limit + 1)) - self.inner.enumerate_upto(limit)
+    def mask_upto(self, limit):
+        return ((1 << limit + 1) - 2) ^ self.inner.mask_upto(limit)
 
     def build(self):
         return complement(self.inner.build())
@@ -423,8 +416,8 @@ Part = Union[NatSubset, SetExpr]
 class SignedSet:
     """A subset of {-G..G}: mirrored negatives, a zero flag, positives.
 
-    ``card`` needs record parts; ``build`` and ``enumerate_upto`` need tree
-    parts.
+    ``card`` and ``contains`` need record parts; ``build`` and the oracle's
+    brute count, which walks each part's mask, need tree parts.
     """
 
     negatives: Part
@@ -443,14 +436,6 @@ class SignedSet:
 
     def build(self) -> "SignedSet":
         return SignedSet(self.negatives.build(), self.has_zero, self.positives.build())
-
-    def enumerate_upto(self, limit: int) -> set:
-        """The extension within {-limit..limit}, computed without the algebra."""
-        out = {-x for x in self.negatives.enumerate_upto(limit)}
-        out |= self.positives.enumerate_upto(limit)
-        if self.has_zero:
-            out.add(0)
-        return out
 
     def __str__(self):
         return render_signed(self)
