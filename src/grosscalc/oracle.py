@@ -47,6 +47,7 @@ from .setmeasure import (
     SetOp,
     SignedSet,
     UniverseNE,
+    largest_exception,
 )
 
 # a substitution computes at most gnum.MAX_POWER_BITS bits of each power
@@ -172,11 +173,6 @@ def brute_count(expr: Union[SetExpr, SignedSet], L: int) -> int:
     return expr.mask_upto(L).bit_count()
 
 
-def _exception_ceiling(subset) -> int:
-    pts = subset.added | subset.removed
-    return max(pts) if pts else 0
-
-
 def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
     """Compare the symbolic count of expr against brute enumeration at L.
 
@@ -196,7 +192,7 @@ def check_set(expr: Union[SetExpr, SignedSet], record, L: int) -> SubstReport:
     for part in parts:
         if L % part.modulus != 0:
             raise InvalidL(f"L={L} is not divisible by the canonical modulus {part.modulus}")
-    ceiling = max(_exception_ceiling(part) for part in parts)
+    ceiling = max(largest_exception(part) for part in parts)
     if L <= 10 * ceiling:
         raise InvalidL(f"L={L} is not beyond 10x the largest exception {ceiling}")
     sym_val = subst(record.card(), L)
@@ -263,7 +259,7 @@ def admissible_points(expr: SetExpr) -> Tuple[int, ...]:
 def _points_for(expr: SetExpr, built) -> Tuple[int, ...]:
     """admissible_points with the record of expr already built."""
     lcm = math.lcm(built.modulus, *(_expr_moduli(expr) or [1]))
-    ceiling = _exception_ceiling(built)
+    ceiling = largest_exception(built)
     floor = max(2, 10 * ceiling + 1)
     scale = -(floor // -lcm)  # ceil division
     return tuple(lcm * scale * m for m in POINT_MULTIPLIERS)

@@ -19,13 +19,18 @@ Only the container and its zero-flag rule are shared; each operation on the
 parts comes from the parts' own route.  The oracle compares the two routes;
 they are never collapsed into one.
 
-Record operations cost what their residue classes cost, not the lcm of the
-moduli: intersections pair classes by the Chinese remainder theorem, unions
-and differences lift classes to the lcm, and the minimal period is found by
-stripping primes of gcd(modulus, |residues|).  Any record that would hold
-more than gnum.MAX_ITEMS residue classes, and any progression that would
-skip more than gnum.MAX_ITEMS elements below its start, raises
-RepresentationLimit before it is built.
+A record costs what its description costs, not its expansion: it stores the
+sparser side of its classes (the non-member classes of ``N \\ {7}`` are none)
+and a floor below which its classes hold no member, so a complement flips a
+flag and a far progression lists no holes.  By De Morgan every combination
+is an intersection of stored sides: classes pair by the Chinese remainder
+theorem, or the sparser sides are lifted to the lcm, and the minimal period
+is found by stripping primes of gcd(modulus, |classes|).  Each size cap is
+still checked against the expanded record, counted from the description
+before any work: any record that would hold more than gnum.MAX_ITEMS
+residue classes, and any progression that would skip more than
+gnum.MAX_ITEMS elements below its start, raises RepresentationLimit before
+it is built.
 """
 from __future__ import annotations
 
@@ -33,10 +38,12 @@ import heapq
 import itertools
 import math
 import operator
+from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, NamedTuple, NoReturn, Tuple, Union
 
 from . import gnum
 from .errors import EvalError, RepresentationLimit
@@ -68,29 +75,94 @@ def _check_positive_elements(elems: Iterable[int], what: str) -> FrozenSet[int]:
     return out
 
 
-@dataclass(frozen=True)
-class NatSubset:
+class _View(AbstractSet):
+    """A read-only set given by its size, a membership test and a walk."""
+
+    def __init__(self, size: int, has, walk):
+        self._size, self._has, self._walk = size, has, walk
+
+    def __len__(self):
+        return self._size
+
+    def __contains__(self, x):
+        return isinstance(x, int) and self._has(x)
+
+    def __iter__(self):
+        return iter(self._walk())
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # set operators on a view (v | w, v & w, ...) return plain frozensets
+        return frozenset(it)
+
+
+class NatSubset(NamedTuple):
     """Canonical eventually periodic subset of the naturals.
 
-    modulus >= 1; residues within range(modulus); every added element falls
-    outside the residue classes and every removed element inside them; the
-    modulus is minimal.  Always build through :func:`nat_subset`,
+    x is a member when it is added, or when x >= floor, x mod modulus is a
+    member class and x is not a hole.  ``classes`` holds the member classes,
+    or the non-member classes when ``complemented`` is set, whichever are at
+    most half the modulus (a tie stores the members).  The floor is 1 plus a
+    multiple of the modulus, as high as it goes with no member in a member
+    class below it; holes lie in member classes at or above it, and added
+    elements outside the member classes; the modulus is minimal.  So each
+    set has exactly one record.  Always build through :func:`nat_subset`,
     :func:`finite_set` or :func:`progression`.
+
+    A named tuple, not a frozen dataclass: set algebra builds one record
+    per operation, and a tuple of six fields builds in a third of the
+    time.  A record still equals only a record.
     """
 
     modulus: int
-    residues: FrozenSet[int]
+    classes: FrozenSet[int]
+    complemented: bool = False
+    floor: int = 1
     added: FrozenSet[int] = frozenset()
-    removed: FrozenSet[int] = frozenset()
+    holes: FrozenSet[int] = frozenset()
+
+    def __eq__(self, other):
+        return type(other) is NatSubset and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @property
+    def class_count(self) -> int:
+        """How many member classes there are."""
+        n = len(self.classes)
+        return self.modulus - n if self.complemented else n
+
+    @property
+    def residues(self) -> AbstractSet:
+        """The member classes, ascending when complemented, as a read-only set."""
+        if not self.complemented:
+            return self.classes
+        m, stored = self.modulus, self.classes
+        return _View(m - len(stored), lambda r: 0 <= r < m and r not in stored,
+                     lambda: (r for r in range(m) if r not in stored))
+
+    @property
+    def removed(self) -> AbstractSet:
+        """Every non-member in a member class, the ones below the floor first,
+        as a read-only set."""
+        if self.floor == 1:
+            return self.holes
+        m, stored, complemented, floor = self.modulus, self.classes, self.complemented, self.floor
+        return _View(
+            (floor - 1) // m * self.class_count + len(self.holes),
+            lambda x: x in self.holes or (1 <= x < floor and (x % m in stored) != complemented),
+            lambda: itertools.chain(_between(m, stored, complemented, 1, floor), self.holes),
+        )
 
     def contains(self, x: int) -> bool:
-        if x < 1:
-            return False
         if x in self.added:
             return True
-        if x in self.removed:
+        if x < self.floor or x in self.holes:
             return False
-        return (x % self.modulus) in self.residues
+        return (x % self.modulus in self.classes) != self.complemented
 
     def card(self) -> GrossPoly:
         return card(self)
@@ -100,6 +172,39 @@ class NatSubset:
 
     def __repr__(self):
         return f"NatSubset<{render_nat(self)}>"
+
+
+def _between(modulus: int, classes, complemented: bool, lo: int, hi: int) -> Iterable[int]:
+    """The elements of lo..hi-1 in the member classes, in no set order."""
+    if complemented and hi - lo <= modulus:
+        return [x for x in range(lo, hi) if x % modulus not in classes]
+    if len(classes) == 1 and not complemented:
+        (r,) = classes
+        return range(lo + (r - lo) % modulus, hi, modulus)
+    members = [r for r in range(modulus) if r not in classes] if complemented else classes
+    return itertools.chain.from_iterable(range(lo + (r - lo) % modulus, hi, modulus) for r in members)
+
+
+def _offsets(modulus: int, classes, complemented: bool) -> list:
+    """The member classes as offsets 1..modulus within a period block,
+    ascending (class 0 is offset modulus)."""
+    if complemented:
+        return [o for o in range(1, modulus + 1) if o % modulus not in classes]
+    offsets = sorted(classes)
+    return offsets[1:] + [modulus] if offsets and offsets[0] == 0 else offsets
+
+
+def _walk(modulus: int, classes, complemented: bool, start: int) -> Iterator[int]:
+    """The member-class elements from start >= 1 on, ascending: one period
+    block at a time, class 0 last in each."""
+    if complemented:
+        return (x for x in itertools.count(start) if x % modulus not in classes)
+    offsets = _offsets(modulus, classes, False)
+    if not offsets:
+        return iter(())
+    walk = (base + o for base in itertools.count((start - 1) // modulus * modulus, modulus)
+            for o in offsets)
+    return itertools.dropwhile(lambda x: x < start, walk)
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -131,29 +236,73 @@ def nat_subset(modulus: int, residues, added=(), removed=()) -> NatSubset:
     removed = _check_positive_elements(removed, "removed elements")
     if added & removed:
         raise EvalError("an element cannot be both added and removed")
-    return _canonical(modulus, residues, added, removed)
+    added = frozenset(a for a in added if a % modulus not in residues)
+    removed = frozenset(r for r in removed if r % modulus in residues)
+    return _canonical(modulus, residues, False, 1, added, removed)
 
 
-def _canonical(modulus: int, residues: FrozenSet[int], added, removed) -> NatSubset:
-    """nat_subset on checked input: residues in range(modulus), exceptions
-    positive and disjoint."""
+def _canonical(modulus: int, classes: FrozenSet[int], complemented: bool, floor: int,
+               added, holes) -> NatSubset:
+    """nat_subset on checked parts: classes in range(modulus) on either side,
+    the floor 1 plus a multiple of the modulus with no member in a member
+    class below it, holes in member classes at or above it, and added
+    elements outside them."""
     # A period d divides the modulus, and each class mod d holds modulus/d of
     # the residues, so modulus/d divides gcd(modulus, |residues|).  Periods
     # are closed under gcd, so stripping each prime of that gcd while the
-    # smaller value is still a period ends at the unique minimal period.
-    n = len(residues)
+    # smaller value is still a period ends at the unique minimal period.  A
+    # set and its complement share their periods, so either side will do.
+    n = len(classes)
     period = 1 if n in (0, modulus) else modulus
     if period > 1:
         for p in _prime_factors(math.gcd(modulus, n)):
             while period % p == 0 and all(
-                (r + period // p) % modulus in residues for r in residues
+                (r + period // p) % modulus in classes for r in classes
             ):
                 period //= p
     if period < modulus:
-        modulus, residues = period, frozenset(r % period for r in residues)
-    added = frozenset(a for a in added if (a % modulus) not in residues)
-    removed = frozenset(r for r in removed if (r % modulus) in residues)
-    return NatSubset(modulus, residues, added, removed)
+        modulus, classes = period, frozenset(r % period for r in classes)
+    return _record(modulus, classes, complemented, floor, added, holes)
+
+
+def _record(modulus: int, classes: FrozenSet[int], complemented: bool, floor: int,
+            added: FrozenSet[int], holes: FrozenSet[int]) -> NatSubset:
+    """The record of a minimal period with its exceptions on their right
+    sides: it keeps the sparser side of the classes and raises the floor over
+    every block whose member-class elements are all holes."""
+    n = len(classes)
+    if 2 * n > modulus or (complemented and 2 * n == modulus):
+        classes, complemented = frozenset(range(modulus)).difference(classes), not complemented
+        n = modulus - n
+    k = modulus - n if complemented else n
+    if not k:
+        floor = 1
+    elif len(holes) >= k:
+        offsets = _offsets(modulus, classes, complemented)
+
+        def walk(i: int) -> int:
+            """The member-class element i places past the floor."""
+            return floor - 1 + i // k * modulus + offsets[i % k]
+
+        # The i-th smallest hole is at least walk(i), and equal to it just
+        # while every element before is a hole too: when the largest hole is
+        # on the walk all of them lead it (as after a complement of a
+        # complement), and otherwise a binary search finds how many do.
+        lead = len(holes)
+        if walk(0) not in holes:
+            lead = 0
+        elif max(holes) != walk(lead - 1):
+            ordered, lead, hi = sorted(holes), 1, lead - 1
+            while lead < hi:
+                mid = (lead + hi + 1) // 2
+                if ordered[mid - 1] == walk(mid - 1):
+                    lead = mid
+                else:
+                    hi = mid - 1
+        if lead >= k:
+            floor += lead // k * modulus
+            holes = [h for h in holes if h >= floor] if lead < len(holes) or lead % k else ()
+    return NatSubset(modulus, classes, complemented, floor, frozenset(added), frozenset(holes))
 
 
 EMPTY = nat_subset(1, ())
@@ -165,102 +314,213 @@ def finite_set(elems: Iterable[int]) -> NatSubset:
 
 
 def progression(first: int, step: int) -> NatSubset:
-    """The arithmetic progression {first, first + step, first + 2*step, ...}."""
+    """The arithmetic progression {first, first + step, first + 2*step, ...}:
+    one class whose floor is the start of first's period block, so the
+    skipped elements cost nothing."""
     if not isinstance(first, int) or first < 1:
         raise EvalError(f"progressions start at a positive integer, got {first!r}")
     if not isinstance(step, int) or step < 1:
         raise EvalError(f"progression steps are positive integers, got {step!r}")
-    r = first % step
-    start = r if r >= 1 else step
-    # counted before any range is built: len() of a range past 2^63 overflows
-    skipped = (first - start) // step
+    skipped = (first - 1) // step
     if skipped > gnum.MAX_ITEMS:
         gnum.refuse(RepresentationLimit, "elements ap({}, {}) skips below its start: "
                     "{} exceeds the cap of {}", first, step, skipped, gnum.MAX_ITEMS)
-    # one residue has no shorter period, and every hole lies in its class
-    return NatSubset(step, frozenset((r,)), frozenset(), frozenset(range(start, first, step)))
+    # one residue has no shorter period, and nothing below first is a member
+    return _record(step, frozenset((first % step,)), False, 1 + skipped * step,
+                   frozenset(), frozenset())
 
 
 def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:
     """Union, intersection or difference, recanonicalized.
 
-    Both operands are lifted to the lcm of their moduli without walking it:
-    an intersection pairs up compatible classes by the Chinese remainder
-    theorem, in O(|Rs| + |Rt| + output); a union or difference lifts each
-    class r mod m to r, r + m, ... below the lcm, in O(lifted classes).
-    Exceptions cost O(|exceptions|).  A result that would hold more than
+    Two member sides meet directly: an intersection pairs up compatible
+    classes by the Chinese remainder theorem, in O(|Rs| + |Rt| + output); a
+    union or difference lifts each class r mod m to r, r + m, ... below the
+    lcm, in O(lifted classes).  A complemented operand meets by De Morgan
+    (see _meet_sides), except in an intersection at an lcm past the cap,
+    where its member classes are listed and paired.  The size cap is
+    checked first, on the classes the member sides would yield at the lcm,
+    counted from the descriptions.
+    Exceptions cost O(|exceptions|), plus the member-class elements between
+    the floors when a floor is above 1.  A result that would hold more than
     gnum.MAX_ITEMS classes before canonicalization raises RepresentationLimit.
     """
     ms, mt = s.modulus, t.modulus
     lift = math.lcm(ms, mt)
-    if op is SetOp.INTERSECT:
-        residues = _crt_intersect(s, t, lift)
+    # the member sides list at most 2 * lift classes, an intersection at
+    # most lift, and two member sides are checked as they pair up, in _crt
+    wide = (s.complemented or t.complemented) and lift > gnum.MAX_ITEMS
+    if 2 * lift > gnum.MAX_ITEMS and (op is not SetOp.INTERSECT or wide):
+        size = _listed_size(op, s, t, lift)
+        if size > gnum.MAX_ITEMS:
+            _refuse_classes(_RESULT_NAMES[op], lift, size)
+    complemented = False
+    if (s.complemented or t.complemented) and not (wide and op is SetOp.INTERSECT):
+        classes, complemented = _meet_sides(op, s, t, lift)
+    elif op is SetOp.INTERSECT:
+        # a wide intersection lists the member classes: its stored sides
+        # could lift to nearly lift classes, far more than the checked size
+        # (ap(1, 2) | ap(2, 100003)) & (ap(2, 2) & ~ap(2, 100019)) would
+        # lift 10^10 classes to keep 10^5
+        classes = _crt(frozenset(s.residues), ms, frozenset(t.residues), mt, lift)
     elif op is SetOp.UNION:
-        size = len(s.residues) * (lift // ms) + len(t.residues) * (lift // mt)
-        if size > gnum.MAX_ITEMS:
-            gnum.refuse(RepresentationLimit, "residue classes of the union at modulus {}: "
-                        "{} exceeds the cap of {}", lift, size, gnum.MAX_ITEMS)
-        residues = frozenset(_lift(s.residues, ms, lift) | _lift(t.residues, mt, lift))
+        classes = frozenset(_lift(s.classes, ms, lift) | _lift(t.classes, mt, lift))
     else:
-        size = len(s.residues) * (lift // ms)
-        if size > gnum.MAX_ITEMS:
-            gnum.refuse(RepresentationLimit, "residue classes of the difference at modulus {}: "
-                        "{} exceeds the cap of {}", lift, size, gnum.MAX_ITEMS)
-        residues = frozenset(x for x in _lift(s.residues, ms, lift) if x % mt not in t.residues)
+        classes = frozenset(x for x in _lift(s.classes, ms, lift) if x % mt not in t.classes)
+    candidates = s.added | s.holes | t.added | t.holes
+    floor = 1
+    if s.floor > 1 or t.floor > 1:
+        # below this bound the operands' floors keep every member-class
+        # element of the result out, except a union's added elements, which
+        # lower the floor; an operand with no member classes bounds nothing
+        if op is SetOp.UNION:
+            fs = s.floor if s.classes or s.complemented else t.floor
+            ft = t.floor if t.classes or t.complemented else fs
+            bound = min(fs, ft)
+        else:
+            bound = max(s.floor, t.floor) if op is SetOp.INTERSECT else s.floor
+        floor = 1 + (bound - 1) // lift * lift
+        if op is SetOp.UNION and (s.added or t.added):
+            low = [x for x in s.added | t.added
+                   if x < floor and (x % lift in classes) != complemented]
+            if low:
+                floor = 1 + (min(low) - 1) // lift * lift
+        if floor < bound:
+            candidates = candidates.union(_between(lift, classes, complemented, floor, bound))
+        if bound < s.floor:
+            candidates = candidates.union(_between(ms, s.classes, s.complemented, bound, s.floor))
+        if bound < t.floor:
+            candidates = candidates.union(_between(mt, t.classes, t.complemented, bound, t.floor))
     fn = _MEMBERSHIP[op]
-    added, removed = [], []
-    for x in s.added | s.removed | t.added | t.removed:
+    added, holes = [], []
+    for x in candidates:
         is_in = fn(s.contains(x), t.contains(x))
-        in_classes = (x % lift) in residues
-        if is_in and not in_classes:
-            added.append(x)
-        elif not is_in and in_classes:
-            removed.append(x)
-    return _canonical(lift, residues, added, removed)
+        if is_in != (x >= floor and (x % lift in classes) != complemented):
+            (added if is_in else holes).append(x)
+    return _canonical(lift, classes, complemented, floor, added, holes)
 
 
-def _lift(residues: FrozenSet[int], modulus: int, lift: int) -> set:
+def _meet_sides(op: SetOp, s: NatSubset, t: NatSubset, lift: int):
+    """The member classes of s op t at modulus lift, as (classes, complemented).
+
+    By De Morgan s | t is ~(~s & ~t) and s \\ t is s & ~t, so every operation
+    meets one side of s with one side of t, and a complement is a flag.  Two
+    member sides meet by CRT pairs, a member side is lifted to the lcm and
+    filtered by a non-member side, and two non-member sides are lifted and
+    joined.  Each walk stays within the stored sides lifted to the lcm,
+    which the size cap bounds except for a wide intersection (see combine).
+    """
+    flip_s, flip_t = op is SetOp.UNION, op is not SetOp.INTERSECT
+    sa, ca, ma = s.classes, s.complemented != flip_s, s.modulus
+    sb, cb, mb = t.classes, t.complemented != flip_t, t.modulus
+    if ca and cb:
+        return frozenset(_lift(sa, ma, lift) | _lift(sb, mb, lift)), not flip_s
+    if not (ca or cb):
+        return _crt(sa, ma, sb, mb, lift), flip_s
+    if ca:
+        sa, ma, sb, mb = sb, mb, sa, ma
+    return frozenset(x for x in _lift(sa, ma, lift) if x % mb not in sb), flip_s
+
+
+def _listed_size(op: SetOp, s: NatSubset, t: NatSubset, lift: int) -> int:
+    """The classes mod lift that meeting the member sides yields before
+    canonicalization: the CRT pairs of an intersection, the lifted classes
+    of both sides of a union, or of s for a difference."""
+    if op is SetOp.INTERSECT:
+        return _intersection_size(s, t)
+    size = s.class_count * (lift // s.modulus)
+    if op is SetOp.UNION:
+        size += t.class_count * (lift // t.modulus)
+    return size
+
+
+_RESULT_NAMES = {SetOp.UNION: "union", SetOp.INTERSECT: "intersection",
+                 SetOp.DIFFERENCE: "difference"}
+
+
+def _refuse_classes(what: str, modulus: int, size: int) -> NoReturn:
+    gnum.refuse(RepresentationLimit, f"residue classes of the {what} at modulus {{}}: "
+                "{} exceeds the cap of {}", modulus, size, gnum.MAX_ITEMS)
+
+
+def _lift(residues: FrozenSet[int], modulus: int, lift: int) -> AbstractSet[int]:
     """The classes r mod modulus as classes mod lift (a multiple of it)."""
+    if modulus == lift:
+        return residues
     return set().union(*(range(r, lift, modulus) for r in residues))
 
 
-def _crt_intersect(s: NatSubset, t: NatSubset, lift: int) -> FrozenSet[int]:
-    """The classes mod lift in both s and t, one CRT step per compatible pair."""
-    ms, mt = s.modulus, t.modulus
-    g = math.gcd(ms, mt)
+def _crt(sa: FrozenSet[int], ma: int, sb: FrozenSet[int], mb: int, lift: int) -> FrozenSet[int]:
+    """The classes mod lift in both classes sa mod ma and sb mod mb, one CRT
+    step per compatible pair."""
+    g = math.gcd(ma, mb)
     by_class = {}
-    for b in t.residues:
+    for b in sb:
         by_class.setdefault(b % g, []).append(b)
-    size = sum(len(by_class.get(a % g, ())) for a in s.residues)
+    size = sum(len(by_class.get(a % g, ())) for a in sa)
     if size > gnum.MAX_ITEMS:
-        gnum.refuse(RepresentationLimit, "residue classes of the intersection at modulus {}: "
-                    "{} exceeds the cap of {}", lift, size, gnum.MAX_ITEMS)
-    # x = a + ms*k with ms*k = b - a (mod mt), i.e. k = (b - a)/g * inv mod mt/g
-    step = mt // g
-    inv = pow(ms // g, -1, step)
+        _refuse_classes("intersection", lift, size)
+    # x = a + ma*k with ma*k = b - a (mod mb), i.e. k = (b - a)/g * inv mod mb/g
+    step = mb // g
+    inv = pow(ma // g, -1, step)
     return frozenset(
-        a + ms * ((b - a) // g * inv % step)
-        for a in s.residues
+        a + ma * ((b - a) // g * inv % step)
+        for a in sa
         for b in by_class.get(a % g, ())
     )
 
 
+def _intersection_size(s: NatSubset, t: NatSubset) -> int:
+    """How many classes mod the lcm lie in both s and t, from the stored
+    sides: modulo g = gcd of the moduli, the member classes of s in class c
+    number its stored classes there, or modulus/g minus them if complemented."""
+    g = math.gcd(s.modulus, t.modulus)
+    cross = 0
+    if s.classes and t.classes:
+        per_class = Counter(b % g for b in t.classes)
+        cross = sum(per_class[a % g] for a in s.classes)
+    bs, ss = (s.modulus // g, -1) if s.complemented else (0, 1)
+    bt, st = (t.modulus // g, -1) if t.complemented else (0, 1)
+    return g * bs * bt + bs * st * len(t.classes) + bt * ss * len(s.classes) + ss * st * cross
+
+
 def complement(s: NatSubset) -> NatSubset:
-    """The complement within the naturals {1..G}: it keeps the period of s
-    and swaps its exceptions, in O(modulus)."""
-    size = s.modulus - len(s.residues)
+    """The complement within the naturals {1..G}: it keeps the period and the
+    stored classes of s, flips the flag and swaps the exceptions, in
+    O(|exceptions|).  The elements below s's floor become added elements."""
+    size = s.modulus - s.class_count
     if size > gnum.MAX_ITEMS:
-        gnum.refuse(RepresentationLimit, "residue classes of the complement at modulus {}: "
-                    "{} exceeds the cap of {}", s.modulus, size, gnum.MAX_ITEMS)
-    residues = frozenset(range(s.modulus)) - s.residues
-    return NatSubset(s.modulus, residues, s.removed, s.added)
+        _refuse_classes("complement", s.modulus, size)
+    removed = s.holes
+    if s.floor > 1:
+        removed = removed.union(_between(s.modulus, s.classes, s.complemented, 1, s.floor))
+    return _record(s.modulus, s.classes, not s.complemented, 1, removed, s.added)
 
 
 def card(s: NatSubset) -> GrossPoly:
-    """Exact count: each residue class holds G/modulus members."""
-    coeff = Fraction(len(s.residues), s.modulus)
-    correction = len(s.added) - len(s.removed)
-    return gterm(coeff, gnum.ONE) + fin(correction)
+    """Exact count: each member class holds G/modulus members, less those
+    below the floor."""
+    k = s.class_count
+    correction = len(s.added) - len(s.holes)
+    if s.floor > 1:
+        correction -= (s.floor - 1) // s.modulus * k
+    return gterm(Fraction(k, s.modulus), gnum.ONE) + fin(correction)
+
+
+def largest_exception(s: NatSubset) -> int:
+    """The largest added or removed element, 0 if none, with no element below
+    the floor listed: holes lie at or above the floor, and below it the last
+    member-class element is in the period block that ends at floor - 1."""
+    pts = s.added | s.holes
+    top = max(pts) if pts else 0
+    if s.floor == 1 or s.holes:
+        return top
+    m, stored = s.modulus, s.classes
+    if s.complemented:
+        last = next(o for o in range(m, 0, -1) if o % m not in stored)
+    else:
+        last = m if 0 in stored else max(stored)
+    return max(top, s.floor - 1 - m + last)
 
 
 def product_card(s: NatSubset, t: NatSubset) -> GrossPoly:
@@ -274,19 +534,9 @@ def members(s: NatSubset, n: int) -> Tuple[int, ...]:
         return ()
     if n > gnum.MAX_ITEMS:
         gnum.refuse(RepresentationLimit, "will not list {} members", n)
-
-    def class_stream(r: int) -> Iterator[int]:
-        start = r if r >= 1 else s.modulus
-        x = start
-        while True:
-            yield x
-            x += s.modulus
-
-    streams = [class_stream(r) for r in sorted(s.residues)]
-    streams.append(iter(sorted(s.added)))
-    merged = heapq.merge(*streams)
-    picked = (x for x in merged if x not in s.removed)
-    return tuple(itertools.islice(picked, n))
+    periodic = (x for x in _walk(s.modulus, s.classes, s.complemented, s.floor)
+                if x not in s.holes)
+    return tuple(itertools.islice(heapq.merge(periodic, sorted(s.added)), n))
 
 
 # ---------------------------------------------------------------------------
@@ -507,20 +757,22 @@ def render_nat(s: NatSubset) -> str:
         return "N"
     # residues lie below the modulus; exceptions come from literals and
     # progression starts, which the language already bounds
-    gnum.check_digits(s.modulus, "a set's modulus")
-    pieces = []
-    for r in sorted(s.residues):
-        start = r if r >= 1 else s.modulus
-        pieces.append(f"ap({start}, {s.modulus})")
+    m = gnum.check_digits(s.modulus, "a set's modulus")
+    members = (r for r in range(m) if r not in s.classes) if s.complemented else sorted(s.classes)
+    pieces = [f"ap({r or m}, {m})" for r in members]
     if s.added:
         pieces.append("{" + ", ".join(str(a) for a in sorted(s.added)) + "}")
     if not pieces:
         return "{}"
     body = " | ".join(pieces)
-    if len(pieces) > 1 and s.removed:
+    # every element below the floor is smaller than every hole
+    removed = sorted(s.holes)
+    if s.floor > 1:
+        removed = sorted(_between(m, s.classes, s.complemented, 1, s.floor)) + removed
+    if len(pieces) > 1 and removed:
         body = f"({body})"
-    if s.removed:
-        body += " \\ {" + ", ".join(str(r) for r in sorted(s.removed)) + "}"
+    if removed:
+        body += " \\ {" + ", ".join(str(r) for r in removed) + "}"
     return body
 
 

@@ -1,25 +1,32 @@
-"""Set algebra that costs what its residue classes cost, not the lcm.
+"""Set algebra that costs what its description costs, not its expansion.
 
-The record operations pair classes by the Chinese remainder theorem, lift
-classes to the lcm and strip primes to find the minimal period.  These tests
-hold them to a dense reference (the walk over every residue of the lcm and
-the scan over every divisor), run the oracle over coprime moduli, and pin
-the size caps and the typed refusals that ride along.
+A record stores the sparser side of its classes and a floor below which no
+member-class element is a member.  Complements flip a flag, far progressions
+list no holes, and combinations meet the stored sides by the Chinese
+remainder theorem or by lifting the sparser sides to the lcm; the minimal
+period comes from stripping primes.  These tests hold the records to a dense
+reference (the walk over every residue of the lcm, the scan over every
+divisor and the explicit holes of a progression), run the oracle over
+coprime moduli, and pin the size caps and the typed refusals that ride
+along.
 """
+import itertools
 import json
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grosscalc import cli, errors, gnum, oracle
+from grosscalc import cli, errors, gnum, oracle, setmeasure
 from grosscalc.gclang import default_env, eval_text
 from grosscalc.gnum import G
-from grosscalc.oracle import admissible_points, check_card
+from grosscalc.oracle import admissible_points, check_card, check_set
 from grosscalc.setmeasure import (
+    NATURALS,
     CombineE,
     ComplementE,
     FiniteSetE,
@@ -27,8 +34,11 @@ from grosscalc.setmeasure import (
     ProgressionE,
     SetOp,
     UniverseNE,
+    card,
     combine,
     complement,
+    largest_exception,
+    members,
     nat_subset,
     progression,
 )
@@ -54,7 +64,7 @@ def dense_nat_subset(modulus, residues, added=(), removed=()):
             break
     added = frozenset(a for a in added if (a % modulus) not in residues)
     removed = frozenset(r for r in removed if (r % modulus) in residues)
-    return NatSubset(modulus, residues, added, removed)
+    return nat_subset(modulus, residues, added, removed)
 
 
 def dense_combine(op, s, t):
@@ -135,6 +145,170 @@ class TestAgainstDenseReference:
         s = nat_subset(360, residues)
         assert s.modulus == 12 and s.residues == frozenset({1, 5, 6})
         assert s == dense_nat_subset(360, residues)
+
+
+far_progressions = st.builds(progression, st.integers(1, 2000), st.integers(1, 12))
+complemented = records.map(complement)
+described = st.one_of(records, complemented, far_progressions)
+
+
+def dense(s):
+    """The same set rebuilt by the dense reference from its expanded views."""
+    return dense_nat_subset(s.modulus, s.residues, s.added, s.removed)
+
+
+def brute_members(s, n):
+    """The n smallest members, by membership tests from 1 on (records here
+    have fewer than n members only when they are finite, below 10^5)."""
+    return tuple(itertools.islice((x for x in range(1, 10**5) if s.contains(x)), n))
+
+
+class TestDescriptionCost:
+    def test_complement_stores_one_class(self):
+        c = complement(progression(5, 999983))
+        assert c.complemented and c.classes == frozenset({5})
+        assert len(c.residues) == 999982 and 5 not in c.residues and 6 in c.residues
+
+    def test_far_progression_lists_no_holes(self):
+        s = progression(2000001, 2)
+        assert s.holes == frozenset() and s.floor == 2000001
+        assert len(s.removed) == 10**6 and 1999999 in s.removed and 2000001 not in s.removed
+
+    def test_naturals_store_nothing(self):
+        assert NATURALS.complemented and NATURALS.classes == frozenset()
+        s = combine(SetOp.DIFFERENCE, NATURALS, progression(7, 999983))
+        assert s.complemented and s.classes == frozenset({7})
+        assert card(s) == 999982 * G / 999983
+
+    def test_complement_of_a_tie_stores_the_members(self):
+        c = complement(nat_subset(4, {0, 1}))
+        assert not c.complemented and c.classes == frozenset({2, 3})
+
+    def test_views_keep_their_meaning(self):
+        c = complement(combine(SetOp.UNION, progression(3, 7), FiniteSetE(frozenset({2})).build()))
+        assert c.residues == frozenset({0, 1, 2, 4, 5, 6}) and c.removed == frozenset({2})
+        assert progression(20, 5).removed == frozenset({5, 10, 15})
+
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [
+            ("ap(20, 5)", "ap(5, 5) \\ {5, 10, 15}"),
+            ("~ap(7, 4)", "ap(4, 4) | ap(1, 4) | ap(2, 4) | {3}"),
+            ("(ap(9, 4) | ap(11, 6)) \\ {21}", "(ap(1, 12) | ap(5, 12) | ap(9, 12) | ap(11, 12)) \\ {1, 5, 21}"),
+            ("ap(13, 3) & ~{16}", "ap(1, 3) \\ {1, 4, 7, 10, 16}"),
+            ("N \\ {1, 2, 3}", "ap(1, 1) \\ {1, 2, 3}"),
+        ],
+    )
+    def test_renderings_list_the_holes_below_the_floor(self, text, rendered):
+        assert str(eval_text(text).record) == rendered
+
+    def test_union_cap_counts_both_sides_lifted(self):
+        # the lcm is past half the cap but not past it, so only the count of
+        # both sides lifted refuses this, as it did when they were listed
+        with pytest.raises(errors.RepresentationLimit) as info:
+            eval_text("~ap(1, 600000) | ~ap(2, 600000)")
+        assert str(info.value) == (
+            "residue classes of the union at modulus 600000: 1199998 exceeds the cap of 1000000"
+        )
+
+    def test_cost_follows_the_description(self):
+        # each line expanded a million classes or holes; now none is
+        start = time.perf_counter()
+        for i in range(1, 31):
+            assert eval_text(f"card(N \\ ap({i}, 999983))") == 999982 * G / 999983
+            assert eval_text(f"card(~ap({i}, 999983))") == 999982 * G / 999983
+            assert eval_text(f"card(ap({1999999 - i}, 2))") == G / 2 - (1999998 - i) // 2
+        assert time.perf_counter() - start < 2.0
+
+    def test_wide_intersection_pairs_the_member_classes(self, monkeypatch):
+        # each side holds just over half its classes, so the stored sides
+        # would lift to about 10^10 classes of the lcm, while the member
+        # sides pair up in about 10^5
+        lift_classes = setmeasure._lift
+
+        def bounded(residues, modulus, lift):
+            assert len(residues) * (lift // modulus) <= gnum.MAX_ITEMS, "lifted past the cap"
+            return lift_classes(residues, modulus, lift)
+
+        monkeypatch.setattr(setmeasure, "_lift", bounded)
+        start = time.perf_counter()
+        assert eval_text(
+            "card((ap(1, 2) | ap(2, 100003)) & (ap(2, 2) & ~ap(2, 100019)))"
+        ) == 50009 * G / 10002200057
+        assert eval_text(
+            "card((ap(2, 2) | ap(1, 100003)) & (ap(1, 2) | ap(2, 100019)))"
+        ) == 100011 * G / 10002200057
+        assert time.perf_counter() - start < 5.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(described, described)
+    def test_wide_intersection(self, s, t):
+        # under a cap of 40 most lcms are past it, and the cap refuses just
+        # the intersections whose member sides pair up in more classes
+        lift = math.lcm(s.modulus, t.modulus)
+        pairs = sum(r % s.modulus in s.residues and r % t.modulus in t.residues
+                    for r in range(lift))
+        with mock.patch.object(gnum, "MAX_ITEMS", 40):
+            try:
+                got = combine(SetOp.INTERSECT, s, t)
+            except errors.RepresentationLimit:
+                assert pairs > 40 and lift > 40
+                return
+        assert got == dense_combine(SetOp.INTERSECT, dense(s), dense(t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(SetOp)), described, described)
+    def test_combine(self, op, s, t):
+        assert combine(op, s, t) == dense_combine(op, dense(s), dense(t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(described)
+    def test_complement(self, s):
+        assert complement(s) == dense_complement(dense(s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2000), st.integers(1, 12))
+    def test_far_progression(self, first, step):
+        assert progression(first, step) == dense_progression(first, step)
+
+    @settings(max_examples=200, deadline=None)
+    @given(described, st.integers(1, 12))
+    def test_members(self, s, n):
+        assert members(s, n) == brute_members(s, n)
+
+    def test_members_of_a_wide_union(self):
+        assert eval_text("members(ap(32, 283) | ap(126, 271), 1)") == (32,)
+        assert members(complement(progression(1, 999983)), 3) == (2, 3, 4)
+        assert members(progression(2000001, 2), 2) == (2000001, 2000003)
+
+
+class TestOracleReadsTheDescription:
+    @pytest.fixture
+    def no_expansion(self, monkeypatch):
+        def expanded(self):
+            raise AssertionError("the holes below a floor were listed")
+
+        monkeypatch.setattr(NatSubset, "removed", property(expanded))
+
+    def test_far_progression(self, no_expansion):
+        s = progression(2001, 2)
+        assert largest_exception(s) == 1999
+        assert check_set(ProgressionE(2001, 2), s, 20000).match
+        assert card(s) == G / 2 - 1000
+
+    def test_refusal_text(self, no_expansion):
+        with pytest.raises(errors.InvalidL) as info:
+            check_set(ProgressionE(21, 2), progression(21, 2), 100)
+        assert str(info.value) == "L=100 is not beyond 10x the largest exception 19"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["ap(20, 1)", "ap(42, 6)", "ap(40, 3) | ap(41, 3)", "ap(41, 6) \\ {53}", "ap(41, 6) | {1}", "~{4, 9}"],
+    )
+    def test_ceiling_is_the_largest_exception(self, text):
+        s = eval_text(text).record
+        expected = max(s.added | s.removed, default=0)
+        assert largest_exception(s) == expected
 
 
 def _one_modulus_recipe(rng, step):
