@@ -333,40 +333,23 @@ def progression(first: int, step: int) -> NatSubset:
 def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:
     """Union, intersection or difference, recanonicalized.
 
-    Two member sides meet directly: an intersection pairs up compatible
-    classes by the Chinese remainder theorem, in O(|Rs| + |Rt| + output); a
-    union or difference lifts each class r mod m to r, r + m, ... below the
-    lcm, in O(lifted classes).  A complemented operand meets by De Morgan
-    (see _meet_sides), except in an intersection at an lcm past the cap,
-    where its member classes are listed and paired.  The size cap is
-    checked first, on the classes the member sides would yield at the lcm,
-    counted from the descriptions.
-    Exceptions cost O(|exceptions|), plus the member-class elements between
-    the floors when a floor is above 1.  A result that would hold more than
-    gnum.MAX_ITEMS classes before canonicalization raises RepresentationLimit.
+    Every operation meets one stored side of s with one of t, by De Morgan
+    (see _meet_sides), in O(CRT pairs) or O(stored classes lifted to the
+    lcm).  The size cap is checked first, for every op, on the classes the
+    member sides would yield at the lcm, counted from the descriptions (see
+    _listed_size): a result that would hold more than gnum.MAX_ITEMS classes
+    before canonicalization raises RepresentationLimit.  Exceptions cost
+    O(|exceptions|), plus the member-class elements between the floors when
+    a floor is above 1.
     """
     ms, mt = s.modulus, t.modulus
     lift = math.lcm(ms, mt)
-    # the member sides list at most 2 * lift classes, an intersection at
-    # most lift, and two member sides are checked as they pair up, in _crt
-    wide = (s.complemented or t.complemented) and lift > gnum.MAX_ITEMS
-    if 2 * lift > gnum.MAX_ITEMS and (op is not SetOp.INTERSECT or wide):
+    # the member sides list at most 2 * lift classes, an intersection at most lift
+    if 2 * lift > gnum.MAX_ITEMS:
         size = _listed_size(op, s, t, lift)
         if size > gnum.MAX_ITEMS:
             _refuse_classes(_RESULT_NAMES[op], lift, size)
-    complemented = False
-    if (s.complemented or t.complemented) and not (wide and op is SetOp.INTERSECT):
-        classes, complemented = _meet_sides(op, s, t, lift)
-    elif op is SetOp.INTERSECT:
-        # a wide intersection lists the member classes: its stored sides
-        # could lift to nearly lift classes, far more than the checked size
-        # (ap(1, 2) | ap(2, 100003)) & (ap(2, 2) & ~ap(2, 100019)) would
-        # lift 10^10 classes to keep 10^5
-        classes = _crt(frozenset(s.residues), ms, frozenset(t.residues), mt, lift)
-    elif op is SetOp.UNION:
-        classes = frozenset(_lift(s.classes, ms, lift) | _lift(t.classes, mt, lift))
-    else:
-        classes = frozenset(x for x in _lift(s.classes, ms, lift) if x % mt not in t.classes)
+    classes, complemented = _meet_sides(op, s, t, lift)
     candidates = s.added | s.holes | t.added | t.holes
     floor = 1
     if s.floor > 1 or t.floor > 1:
@@ -408,15 +391,20 @@ def _meet_sides(op: SetOp, s: NatSubset, t: NatSubset, lift: int):
     member sides meet by CRT pairs, a member side is lifted to the lcm and
     filtered by a non-member side, and two non-member sides are lifted and
     joined.  Each walk stays within the stored sides lifted to the lcm,
-    which the size cap bounds except for a wide intersection (see combine).
+    which the size cap bounds, except in an intersection at an lcm past the
+    cap: there the stored sides could lift 10^10 classes to keep 10^5, as in
+    (ap(1, 2) | ap(2, 100003)) & (ap(2, 2) & ~ap(2, 100019)), so the member
+    classes of both are listed and paired by CRT into the pairs the cap counted.
     """
+    if op is SetOp.INTERSECT and lift > gnum.MAX_ITEMS:
+        return _crt(frozenset(s.residues), s.modulus, frozenset(t.residues), t.modulus), False
     flip_s, flip_t = op is SetOp.UNION, op is not SetOp.INTERSECT
     sa, ca, ma = s.classes, s.complemented != flip_s, s.modulus
     sb, cb, mb = t.classes, t.complemented != flip_t, t.modulus
     if ca and cb:
         return frozenset(_lift(sa, ma, lift) | _lift(sb, mb, lift)), not flip_s
     if not (ca or cb):
-        return _crt(sa, ma, sb, mb, lift), flip_s
+        return _crt(sa, ma, sb, mb), flip_s
     if ca:
         sa, ma, sb, mb = sb, mb, sa, ma
     return frozenset(x for x in _lift(sa, ma, lift) if x % mb not in sb), flip_s
@@ -424,14 +412,25 @@ def _meet_sides(op: SetOp, s: NatSubset, t: NatSubset, lift: int):
 
 def _listed_size(op: SetOp, s: NatSubset, t: NatSubset, lift: int) -> int:
     """The classes mod lift that meeting the member sides yields before
-    canonicalization: the CRT pairs of an intersection, the lifted classes
-    of both sides of a union, or of s for a difference."""
-    if op is SetOp.INTERSECT:
-        return _intersection_size(s, t)
-    size = s.class_count * (lift // s.modulus)
-    if op is SetOp.UNION:
-        size += t.class_count * (lift // t.modulus)
-    return size
+    canonicalization, for every op: the lifted classes of both sides of a
+    union, or of s for a difference, and the CRT pairs of an intersection.
+    The pairs are counted from the stored sides: modulo g = gcd of the
+    moduli, the member classes of s in class c number its stored classes
+    there, or modulus/g minus them if complemented."""
+    ms, mt = s.modulus, t.modulus
+    if op is not SetOp.INTERSECT:
+        size = s.class_count * (lift // ms)
+        if op is SetOp.UNION:
+            size += t.class_count * (lift // mt)
+        return size
+    g = math.gcd(ms, mt)
+    cross = 0
+    if s.classes and t.classes:
+        per_class = Counter(b % g for b in t.classes)
+        cross = sum(per_class[a % g] for a in s.classes)
+    bs, ss = (ms // g, -1) if s.complemented else (0, 1)
+    bt, st = (mt // g, -1) if t.complemented else (0, 1)
+    return g * bs * bt + bs * st * len(t.classes) + bt * ss * len(s.classes) + ss * st * cross
 
 
 _RESULT_NAMES = {SetOp.UNION: "union", SetOp.INTERSECT: "intersection",
@@ -450,16 +449,13 @@ def _lift(residues: FrozenSet[int], modulus: int, lift: int) -> AbstractSet[int]
     return set().union(*(range(r, lift, modulus) for r in residues))
 
 
-def _crt(sa: FrozenSet[int], ma: int, sb: FrozenSet[int], mb: int, lift: int) -> FrozenSet[int]:
-    """The classes mod lift in both classes sa mod ma and sb mod mb, one CRT
-    step per compatible pair."""
+def _crt(sa: FrozenSet[int], ma: int, sb: FrozenSet[int], mb: int) -> FrozenSet[int]:
+    """The classes mod lcm(ma, mb) in both classes sa mod ma and sb mod mb,
+    one CRT step per compatible pair; the caller has counted the pairs."""
     g = math.gcd(ma, mb)
     by_class = {}
     for b in sb:
         by_class.setdefault(b % g, []).append(b)
-    size = sum(len(by_class.get(a % g, ())) for a in sa)
-    if size > gnum.MAX_ITEMS:
-        _refuse_classes("intersection", lift, size)
     # x = a + ma*k with ma*k = b - a (mod mb), i.e. k = (b - a)/g * inv mod mb/g
     step = mb // g
     inv = pow(ma // g, -1, step)
@@ -468,20 +464,6 @@ def _crt(sa: FrozenSet[int], ma: int, sb: FrozenSet[int], mb: int, lift: int) ->
         for a in sa
         for b in by_class.get(a % g, ())
     )
-
-
-def _intersection_size(s: NatSubset, t: NatSubset) -> int:
-    """How many classes mod the lcm lie in both s and t, from the stored
-    sides: modulo g = gcd of the moduli, the member classes of s in class c
-    number its stored classes there, or modulus/g minus them if complemented."""
-    g = math.gcd(s.modulus, t.modulus)
-    cross = 0
-    if s.classes and t.classes:
-        per_class = Counter(b % g for b in t.classes)
-        cross = sum(per_class[a % g] for a in s.classes)
-    bs, ss = (s.modulus // g, -1) if s.complemented else (0, 1)
-    bt, st = (t.modulus // g, -1) if t.complemented else (0, 1)
-    return g * bs * bt + bs * st * len(t.classes) + bt * ss * len(s.classes) + ss * st * cross
 
 
 def complement(s: NatSubset) -> NatSubset:

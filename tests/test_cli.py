@@ -1,5 +1,6 @@
 """The gc command line: output shapes, exit codes, scripts, the REPL."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -145,6 +146,17 @@ class TestCheck:
         lines = r.stdout.strip().splitlines()
         assert lines[-1].endswith("0 mismatches")
         assert all("[ok]" in line for line in lines[:-1])
+
+    def test_sweep_output_is_pinned(self, capsys):
+        # the CI sweep byte for byte: a change that moves any report, on any
+        # Python version, updates this digest and says why
+        assert cli.main(["check", "--seed", "2026", "--cases", "200"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert len(lines) == 601 and lines[-1] == "600 checks, 0 mismatches"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6b007be8137f83f11547615918cdd495ebdd22ca55bc23d07538c23c59f4d470"
+        )
 
 
 class TestRepl:

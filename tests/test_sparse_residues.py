@@ -241,20 +241,28 @@ class TestDescriptionCost:
         assert time.perf_counter() - start < 5.0
 
     @settings(max_examples=300, deadline=None)
-    @given(described, described)
-    def test_wide_intersection(self, s, t):
+    @given(st.sampled_from(list(SetOp)), described, described)
+    def test_wide_intersection(self, op, s, t):
         # under a cap of 40 most lcms are past it, and the cap refuses just
-        # the intersections whose member sides pair up in more classes
+        # the meets whose member sides list more classes of the lcm: both
+        # sides lifted for a union, the left one for a difference and the
+        # CRT pairs for an intersection
         lift = math.lcm(s.modulus, t.modulus)
-        pairs = sum(r % s.modulus in s.residues and r % t.modulus in t.residues
-                    for r in range(lift))
+        in_s = [r % s.modulus in s.residues for r in range(lift)]
+        in_t = [r % t.modulus in t.residues for r in range(lift)]
+        listed = {
+            SetOp.UNION: sum(in_s) + sum(in_t),
+            SetOp.DIFFERENCE: sum(in_s),
+            SetOp.INTERSECT: sum(a and b for a, b in zip(in_s, in_t)),
+        }[op]
         with mock.patch.object(gnum, "MAX_ITEMS", 40):
             try:
-                got = combine(SetOp.INTERSECT, s, t)
+                got = combine(op, s, t)
             except errors.RepresentationLimit:
-                assert pairs > 40 and lift > 40
+                assert listed > 40
                 return
-        assert got == dense_combine(SetOp.INTERSECT, dense(s), dense(t))
+        assert listed <= 40
+        assert got == dense_combine(op, dense(s), dense(t))
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(SetOp)), described, described)
@@ -370,19 +378,33 @@ class TestPrimeIntersections:
         assert (x % 97, x % 101, x % 103) == (3, 5, 7)
 
 
+def refusal(build):
+    """The text of the RepresentationLimit that build() raises."""
+    with pytest.raises(errors.RepresentationLimit) as info:
+        build()
+    return str(info.value)
+
+
+def cap_text(what, modulus, size):
+    return f"residue classes of the {what} at modulus {modulus}: {size} exceeds the cap of 1000000"
+
+
 class TestSizeGuards:
     def test_four_prime_union(self):
-        with pytest.raises(errors.RepresentationLimit):
-            eval_text("ap(1,97) | ap(1,101) | ap(1,103) | ap(1,107)")
+        assert refusal(lambda: eval_text("ap(1,97) | ap(1,101) | ap(1,103) | ap(1,107)")) == (
+            cap_text("union", 107972737, 4207428)
+        )
 
     def test_union_counts_the_classes_of_both_sides(self):
         # 2 classes of the lcm from the left, 1000003 from the right
-        with pytest.raises(errors.RepresentationLimit):
-            eval_text("ap(1, 1000003) | ap(2, 2)")
+        assert refusal(lambda: eval_text("ap(1, 1000003) | ap(2, 2)")) == (
+            cap_text("union", 2000006, 1000005)
+        )
 
     def test_far_start(self):
-        with pytest.raises(errors.RepresentationLimit):
-            eval_text("ap(10^7, 2)")
+        assert refusal(lambda: eval_text("ap(10^7, 2)")) == (
+            "elements ap(10000000, 2) skips below its start: 4999999 exceeds the cap of 1000000"
+        )
 
     def test_far_start_at_the_cap(self):
         # 1, 3, ..., 1999999: exactly MAX_ITEMS skipped elements
@@ -391,20 +413,32 @@ class TestSizeGuards:
 
     def test_large_intersection(self):
         # 1008 * 1012 classes of the lcm survive
-        with pytest.raises(errors.RepresentationLimit):
-            eval_text("(N \\ ap(1,1009)) & (N \\ ap(1,1013))")
+        assert refusal(lambda: eval_text("(N \\ ap(1,1009)) & (N \\ ap(1,1013))")) == (
+            cap_text("intersection", 1022117, 1020096)
+        )
+
+    def test_large_member_side_intersection(self):
+        # two member sides are counted up front like any other meet, and
+        # their CRT pairs number 1001 * 1005
+        s, t = nat_subset(2003, range(1001)), nat_subset(2011, range(1005))
+        assert refusal(lambda: combine(SetOp.INTERSECT, s, t)) == (
+            cap_text("intersection", 4028033, 1006005)
+        )
 
     def test_large_difference(self):
-        with pytest.raises(errors.RepresentationLimit):
-            eval_text("N \\ ap(1, 1000003)")
+        assert refusal(lambda: eval_text("N \\ ap(1, 1000003)")) == (
+            cap_text("difference", 1000003, 1000003)
+        )
 
     def test_large_complement(self):
-        with pytest.raises(errors.RepresentationLimit):
-            complement(nat_subset(1000003, (0,)))
+        assert refusal(lambda: complement(nat_subset(1000003, (0,)))) == (
+            cap_text("complement", 1000003, 1000002)
+        )
 
     def test_large_complement_in_the_language(self):
-        with pytest.raises(errors.RepresentationLimit):
-            eval_text("~ap(1, 1000003)")
+        assert refusal(lambda: eval_text("~ap(1, 1000003)")) == (
+            cap_text("complement", 1000003, 1000002)
+        )
 
 
 class TestPowerOfAnExponentialCount:
