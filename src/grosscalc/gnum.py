@@ -28,8 +28,12 @@ exactly as the values do, so ``_canon`` sorts by it and ``_cmp_poly`` is one
 tuple comparison.  One function, ``_order_key``, builds the keys of a value
 and of its negation, which a negative term needs for its exponent.  The
 facts live on the value and go with it: there is no table of values and no
-memo that outlives an operation.  A product of two terms whose exponents are
-both rational adds the exponents as rationals, not as polynomials.
+memo that outlives an operation.  A sum merges the two sorted term lists
+in one pass, comparing exponents by their order keys.  A product by a
+rational scales the other side's terms.  Any other product adds rational
+exponents as rationals, not as polynomials, and every term pair with one
+rational sum shares one exponent object, so its one canonicalization hashes
+and orders each distinct exponent once.
 
 Exponential counts relate to one another through three rules, one function
 each, and each refuses with ExponentTooLarge a power it will not compute:
@@ -386,7 +390,33 @@ def _cmp_poly(x: GrossPoly, y: GrossPoly) -> int:
 
 
 def _padd(x: GrossPoly, y: GrossPoly) -> GrossPoly:
-    return _canon(x.terms + y.terms)
+    """x + y in O(n + m): one merge of the sorted term lists by order key.
+
+    No hash and no sort; the result is always a fresh plain GrossPoly, so a
+    SetCount plus zero is a plain count."""
+    xs, ys = x.terms, y.terms
+    n, m = len(xs), len(ys)
+    out = []
+    i = j = 0
+    while i < n and j < m:
+        cx, ex = xs[i]
+        cy, ey = ys[j]
+        if ex is not ey:
+            kx, ky = _order_key(ex), _order_key(ey)
+            if kx > ky:
+                out.append(xs[i])
+                i += 1
+                continue
+            if kx < ky:
+                out.append(ys[j])
+                j += 1
+                continue
+        c = cx + cy
+        if c:
+            out.append((_exact(c), ex))
+        i += 1
+        j += 1
+    return GrossPoly((*out, *xs[i:], *ys[j:]))
 
 
 def _pneg(x: GrossPoly) -> GrossPoly:
@@ -404,14 +434,41 @@ def _pscale(x: GrossPoly, factor: Union[int, Fraction]) -> GrossPoly:
     return GrossPoly(tuple((_exact(c * factor), e) for c, e in x.terms))
 
 
+def _fraction_key(r: Fraction):
+    """A dict key for a Fraction that hashes in C, where a Fraction hashes in
+    Python: its numerator and denominator, or the int it equals."""
+    n, d = r.numerator, r.denominator
+    return n if d == 1 else (n, d)
+
+
 def _pmul(x: GrossPoly, y: GrossPoly) -> GrossPoly:
+    """x * y in O(n*m) coefficient products and one canonicalization.
+
+    A rational side costs O(n), a scaling; otherwise each distinct rational
+    exponent sum is one exponent object."""
+    # a rational factor scales the other side's terms and keeps their order
+    for p, q in ((x, y), (y, x)):
+        r = p.as_rational()
+        if r is not None:
+            return _pscale(q, r)
+    xs = [(c, e, e.as_rational()) for c, e in x.terms]
+    ys = [(c, e, e.as_rational()) for c, e in y.terms]
+    # pairs with one rational sum share its exponent, so _canon finds it by
+    # identity under a cached hash; the operands' own exponents come first
+    shared = {
+        r if type(r) is int else _fraction_key(r): e for _, e, r in xs + ys if r is not None
+    }
     acc = []
-    ys = [(cy, ey, ey.as_rational()) for cy, ey in y.terms]
-    for cx, ex in x.terms:
-        rx = ex.as_rational()
+    for cx, ex, rx in xs:
         for cy, ey, ry in ys:
-            # a sum of two rational exponents needs no canonicalization
-            exp = fin(rx + ry) if rx is not None and ry is not None else _padd(ex, ey)
+            if rx is None or ry is None:
+                exp = _padd(ex, ey)
+            else:
+                r = rx + ry
+                k = r if type(r) is int else _fraction_key(r)
+                exp = shared.get(k)
+                if exp is None:
+                    exp = shared[k] = fin(r)
             acc.append((cx * cy, exp))
     return _canon(acc)
 

@@ -196,6 +196,76 @@ def test_arithmetic_agrees_with_the_fraction_reference(start, ops):
         assert_exact(new)
 
 
+# long operands: sums and products of up to 30 terms, powers up to 14, with
+# terms that cancel and counts of sets as operands
+
+
+COUNTED = gclang.eval_text("ap(1, 2)")
+long_polys = st.lists(st.tuples(coeffs, exps), max_size=30).map(make_poly)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """x and a y that holds the negations of some of x's terms, each with an
+    exponent object of its own, so x + y cancels those terms."""
+    x = draw(long_polys)
+    kept = draw(st.lists(st.booleans(), min_size=len(x.terms), max_size=len(x.terms)))
+    others = draw(st.lists(st.tuples(coeffs, exps), max_size=30))
+    negated = [(-c, make_poly(reversed(e.terms))) for (c, e), keep in zip(x.terms, kept) if keep]
+    return x, make_poly(negated + others)
+
+
+def as_count(p: GrossPoly, counted: bool) -> GrossPoly:
+    return gclang.SetCount(p.terms, source=COUNTED) if counted else p
+
+
+def assert_matches(new, ref):
+    assert type(new) is GrossPoly
+    assert new.terms == ref.terms
+    assert hash(new) == hash(ref)
+    assert render_gross(new) == render_gross(ref)
+    assert_exact(new)
+
+
+@given(cancelling_pairs(), st.sampled_from(("add", "sub", "mul")), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_long_sums_and_products_agree_with_the_fraction_reference(pair, op, count_x, count_y):
+    x, y = pair
+    if op == "sub":
+        # x - (-y) cancels the same terms as x + y
+        y = gnum.neg(y)
+    new_x, new_y = as_count(x, count_x), as_count(y, count_y)
+    ref_x, ref_y = reference_form(x), reference_form(y)
+    if op == "add":
+        new, ref = gnum.add(new_x, new_y), reference_canon(ref_x.terms + ref_y.terms)
+    elif op == "sub":
+        new, ref = gnum.sub(new_x, new_y), reference_sub(ref_x, ref_y)
+    else:
+        new, ref = gnum.mul(new_x, new_y), reference_pmul(ref_x, ref_y)
+    assert_matches(new, ref)
+
+
+def test_a_sum_of_negations_cancels_to_zero():
+    x = make_poly((c, e) for c, e in zip(range(1, 31), map(fin, range(30))))
+    total = gnum.add(as_count(x, True), make_poly((-c, fin(e.as_rational())) for c, e in x.terms))
+    assert_matches(total, reference_canon(()))
+    assert total == ZERO
+
+
+@given(
+    st.lists(st.tuples(coeffs, exps), min_size=2, max_size=3).map(make_poly),
+    st.integers(min_value=0, max_value=14),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_powers_agree_with_the_fraction_reference(x, n, counted):
+    new, kind = _outcome("pow", n, as_count(x, counted), reference=False)
+    ref, ref_kind = _outcome("pow", n, reference_form(x), reference=True)
+    assert kind == ref_kind
+    if not kind:
+        assert_matches(new, ref)
+
+
 # the representation invariant
 
 

@@ -197,6 +197,53 @@ class TestRationalExponentSums:
         assert len(calls) == 1
 
 
+class TestMergedArithmetic:
+    @staticmethod
+    def operands():
+        # every exponent a fresh object, so no shortcut by identity hides an
+        # equality test between two equal exponents.  The exponents are not
+        # negative: CPython hashes -1 and -2 alike, so a product holding both
+        # compares them once in _canon's dict, a collision and not a repeat
+        x = make_poly((c, fin(Fraction(e, 2))) for c, e in zip(range(1, 31), range(30)))
+        y = make_poly((-c, fin(Fraction(e, 3))) for c, e in zip(range(1, 21), range(0, 60, 3)))
+        return x, y
+
+    def test_sum_and_rational_product_make_no_equality_call(self, monkeypatch):
+        x, y = self.operands()
+        # x * x adds halves to halves, so integral Fraction sums meet int ones
+        expected = (gnum._padd(x, y), gnum._pmul(x, y), gnum._pmul(x, x))
+        x, y = self.operands()
+        calls = []
+        eq = GrossPoly.__eq__
+
+        def counting(self, other):
+            calls.append(1)
+            return eq(self, other)
+
+        monkeypatch.setattr(GrossPoly, "__eq__", counting)
+        got = (gnum._padd(x, y), gnum._pmul(x, y), gnum._pmul(x, x))
+        count = len(calls)
+        monkeypatch.undo()
+        assert count == 0
+        assert got == expected
+        # the integer exponents 0 to 14 are shared, and at 0 the coefficients
+        # 1 and -1 cancel: 30 + 20 - 15 - 1 terms
+        assert len(got[0].terms) == 34
+
+    def test_count_plus_or_minus_zero_is_a_plain_count(self):
+        count = gclang.eval_text("card(ap(1, 2))")
+        assert type(count) is gclang.SetCount
+        for value in (count + 0, count - 0, 0 + count, gclang.eval_text("card(ap(1, 2)) + 0"),
+                      gclang.eval_text("card(ap(1, 2)) - 0")):
+            assert type(value) is GrossPoly and value == G / 2
+
+    def test_merge_that_cancels_every_term_is_zero(self):
+        x, _ = self.operands()
+        rebuilt = make_poly(reversed(x.terms))
+        for total in (gnum._padd(x, -rebuilt), sub(x, rebuilt), gnum._padd(-x, x)):
+            assert type(total) is GrossPoly and total == ZERO and not total.terms
+
+
 class TestDivision:
     def test_halving(self):
         assert div_exact(G, fin(2)) == G / 2
