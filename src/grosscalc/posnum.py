@@ -7,6 +7,10 @@ is stored sparsely from both ends: a head block starting at position 1, a
 tail block ending at position N, and an implicit run of 0 digits between
 them.  That shape covers every numeral that can actually be displayed;
 strings with infinitely many scattered nonzero digits are out of scope.
+A finite string of N positions is always split at its midpoint: the head
+holds positions 1..N//2 and the tail the rest, each without the zeros next
+to the gap, so equal strings are equal records at every length.  Records
+are built only through numeral(), which makes that split.
 
 Digits are read in one place: numeral() takes a head or tail as digit
 text (0-9, then a-z for 10 to 35) or as digit values, checks the alphabet
@@ -49,10 +53,6 @@ from .gnum import (
     render_critref,
     render_gross,
 )
-
-# lengths up to this many positions are stored as one explicit digit block,
-# which keeps equal strings record-equal regardless of how they were built
-_DENSE_LIMIT = 10 ** 4
 
 # full digit expansion in rendering; longer strings fall back to head...tail
 _EXPAND_LIMIT = 32
@@ -136,11 +136,12 @@ def _strip(head: Digits, tail: Digits) -> Tuple[Digits, Digits]:
 
 
 def numeral(base: int, length, head=(), tail=(), sign: str = "") -> InfNumeral:
-    """Canonicalizing constructor; head and tail are digit text or values.
+    """Canonicalizing constructor, and the only way to build an InfNumeral;
+    head and tail are digit text or values.
 
-    Finite lengths up to _DENSE_LIMIT are materialized into a single head
-    block so that equal strings become equal records; everything longer
-    keeps the sparse two-ended form.
+    A finite length n splits at its midpoint: the head holds positions
+    1..n//2 and the tail the rest.  A block that reaches past the middle is
+    re-split from the explicit digits, which then number more than n/2.
     """
     length = _as_length(length)
     head = _digits(head, base, "head")
@@ -153,9 +154,10 @@ def numeral(base: int, length, head=(), tail=(), sign: str = "") -> InfNumeral:
                 f"{len(head)} head and {len(tail)} tail digits do not fit "
                 f"in {n} positions"
             )
-        if n <= _DENSE_LIMIT:
+        mid = n // 2
+        if len(head) > mid or len(tail) > n - mid:
             full = head + (0,) * (n - len(head) - len(tail)) + tail
-            head, tail = _strip(full, ())
+            head, tail = _strip(full[:mid], full[mid:])
     return InfNumeral(base, length, head, tail, sign)
 
 
@@ -238,22 +240,12 @@ def critical(base: int, target) -> CriticalPair:
 # ordering and the successor chain
 
 
-def _materialized(x: InfNumeral, n: int) -> Digits:
-    if n > _DENSE_LIMIT and n - len(x.head) - len(x.tail) > gnum.MAX_ITEMS:
-        gnum.refuse(RepresentationLimit, "will not expand {} digit positions", n)
-    return x.head + (0,) * (n - len(x.head) - len(x.tail)) + x.tail
-
-
 def _cmp_magnitude(x: InfNumeral, y: InfNumeral) -> int:
+    # no head block reaches the other string's tail block, since a finite
+    # string splits at its midpoint, so the positions that neither padded
+    # string covers are implicit zeros in both
     width = max(len(x.head), len(y.head)) + max(len(x.tail), len(y.tail))
-    n = x.finite_length
-    if n is not None and width > n:
-        # a head block reaches the other string's tail block: compare whole
-        dx, dy = _materialized(x, n), _materialized(y, n)
-    else:
-        # the head blocks meet only implicit zeros on the other side, and so
-        # do the tail blocks: pad each block to the wider one and compare
-        dx, dy = (z.head + (0,) * (width - len(z.head) - len(z.tail)) + z.tail for z in (x, y))
+    dx, dy = (z.head + (0,) * (width - len(z.head) - len(z.tail)) + z.tail for z in (x, y))
     return (dx > dy) - (dx < dy)
 
 
@@ -363,12 +355,12 @@ def _digit_str(digits: Digits) -> str:
 
 def render_digits(x: InfNumeral) -> str:
     """Just the digit string, e.g. '0.000…0001' or '0.375'."""
-    n = x.finite_length
-    if n is not None and (n <= _EXPAND_LIMIT or x.gap() == 0):
-        body = _digit_str(_materialized(x, n))
+    gap = x.gap()
+    if gap is not None and (x.finite_length <= _EXPAND_LIMIT or gap == 0):
+        middle = "0" * gap
     else:
-        body = _digit_str(x.head) + "000…000" + _digit_str(x.tail)
-    return f"{x.sign}0.{body}"
+        middle = "000…000"
+    return f"{x.sign}0.{_digit_str(x.head)}{middle}{_digit_str(x.tail)}"
 
 
 def _count_tag(base: int, length: GrossPoly) -> str:

@@ -55,12 +55,12 @@ class TestConstruction:
         x = numeral(10, G, head=(1, 0), tail=(0, 2))
         assert x.head == (1,) and x.tail == (2,)
 
-    def test_finite_lengths_are_dense(self):
+    def test_finite_lengths_split_at_the_midpoint(self):
         # equal strings must be equal records however they were specified
         a = numeral(10, 3, head=(1,), tail=(2,))
         b = numeral(10, 3, head=(1, 0, 2))
         assert a == b
-        assert a.tail == ()
+        assert a.head == (1,) and a.tail == (2,)
 
     def test_digit_range_checked(self):
         with pytest.raises(errors.EvalError):
@@ -241,8 +241,8 @@ class TestCompare:
         assert compare_numerals(a, b) is Ordering.GREATER
 
     def test_zones_that_meet_compare_as_whole_strings(self):
-        # past the dense limit a full string keeps the split it was given;
-        # 1|555…5 and 13|44…4 must not be compared as padded zones
+        # blocks given past the middle are re-split from their digits, so
+        # 1|555…5 and 13|44…4 compare as the whole strings they are
         n = 10 ** 4 + 1
         x = numeral(10, n, head=(1,), tail=(5,) * (n - 1))
         y = numeral(10, n, head=(1, 3), tail=(4,) * (n - 2))
@@ -434,6 +434,17 @@ def reference_cmp_magnitude(x: InfNumeral, y: InfNumeral) -> int:
     return 0
 
 
+def reference_compare(x: InfNumeral, y: InfNumeral) -> int:
+    """The order of two numerals of one finite system, by their expanded
+    digit tuples."""
+    if x.sign != y.sign:
+        return -1 if x.sign == "-" else 1
+    n = x.finite_length
+    dx, dy = _full(x, n), _full(y, n)
+    verdict = (dx > dy) - (dx < dy)
+    return -verdict if x.sign == "-" else verdict
+
+
 _LENGTHS = [*range(1, 9), 10 ** 4 - 1, 10 ** 4, 10 ** 4 + 1, 2 * 10 ** 4, G, G / 2, G - 3]
 
 
@@ -491,6 +502,56 @@ def test_zone_comparison_matches_the_reference(data):
         y = data.draw(any_numeral(x.base, x.length, x.sign))
     verdict = reference_cmp_magnitude(x, y)
     assert compare_numerals(x, y).value == (-verdict if x.sign == "-" else verdict)
+
+
+@st.composite
+def sparse_string(draw, base, n):
+    """A digit tuple of n positions: zeros with a few short runs written near
+    the start, the middle, the end or anywhere, and perhaps one long run of
+    a single digit."""
+    digit = st.sampled_from([0, base - 1]) | st.integers(min_value=0, max_value=base - 1)
+    digits = [0] * n
+    runs = draw(st.lists(st.lists(digit, min_size=1, max_size=6), max_size=4))
+    if draw(st.booleans()):
+        runs.append([draw(digit)] * draw(st.integers(min_value=1, max_value=n)))
+    for run in runs:
+        run = run[:n]
+        near = draw(st.sampled_from([0, n // 2, n]) | st.integers(min_value=0, max_value=n))
+        at = max(0, min(near - draw(st.integers(0, len(run))), n - len(run)))
+        digits[at : at + len(run)] = run
+    return tuple(digits)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_finite_strings_have_one_record_at_every_length(data):
+    # lengths on both sides of the 32 positions where rendering turns to
+    # head…tail, and of 10^4
+    n = data.draw(
+        st.integers(min_value=1, max_value=64)
+        | st.sampled_from([10 ** 4 - 1, 10 ** 4, 10 ** 4 + 1])
+        | st.integers(min_value=1, max_value=2 * 10 ** 4)
+    )
+    base = data.draw(st.integers(min_value=2, max_value=36))
+    signs = data.draw(st.sampled_from([("",), ("+", "-")]))
+    digits = data.draw(sparse_string(base, n))
+    x = numeral(base, n, digits, (), data.draw(st.sampled_from(signs)))
+    assert _full(x, n) == digits
+    for split in {0, n // 2, n, data.draw(st.integers(min_value=0, max_value=n))}:
+        y = numeral(base, n, digits[:split], digits[split:], x.sign)
+        assert y == x and render_digits(y) == render_digits(x)
+
+    other = list(digits)
+    if data.draw(st.booleans()):
+        other = list(data.draw(sparse_string(base, n)))
+    else:
+        other[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, base - 1))
+    split = data.draw(st.integers(min_value=0, max_value=n))
+    y = numeral(base, n, other[:split], other[split:], data.draw(st.sampled_from(signs)))
+    assert compare_numerals(x, y).value == reference_compare(x, y)
+
+    assert _outcome(successor, x) == _outcome(reference_successor, x)
+    assert _outcome(predecessor, x) == _outcome(reference_predecessor, x)
 
 
 # randomized round-trip on sparse numerals
@@ -563,6 +624,28 @@ class TestRender:
         x = numeral(10, length, head=head, tail=tail)
         assert render_digits(x) == "0." + "1" * len(head) + "2" * len(tail)
         assert render_digits(numeral(10, length, head=head)).endswith("1000…000")
+
+    def test_thirty_two_positions_are_written_in_full(self):
+        assert gclang.render_value(gclang.eval_text('num(10, 32){tail: "1"}')) == (
+            f"0.{'0' * 31}1 [{10 ** 32} positions: 32]"
+        )
+
+    @pytest.mark.parametrize(
+        "length, count", [(33, str(10 ** 33)), (10 ** 4, "10^10000"), (10 ** 4 + 1, "10^10001")]
+    )
+    def test_longer_finite_numerals_print_head_and_tail(self, length, count):
+        line = f'num(10, {length}){{tail: "1"}}'
+        assert gclang.render_value(gclang.eval_text(line)) == (
+            f"0.000…0001 [{count} positions: {length}]"
+        )
+
+    def test_one_string_prints_alike_however_it_was_given(self):
+        dense = gclang.eval_text(f'num(10, 10001){{head: "1{"0" * 9999}1"}}')
+        sparse = gclang.eval_text('num(10, 10001){head: "1", tail: "1"}')
+        assert dense == sparse
+        assert gclang.render_value(dense) == gclang.render_value(sparse) == (
+            "0.1000…0001 [10^10001 positions: 10001]"
+        )
 
 
 class TestLongCountTags:
