@@ -17,10 +17,11 @@ left-associative level, and `^` (right-associative) binds tighter than all:
     1  |  \\        2  &        3  +  -        4  *  /
 
 Comparisons do not chain.  The glyph `①` reads as the identifier `G`.
-Tokens are one table, _TOKEN, with one named group per kind, tried in order:
-newline, blank, `#` comment to the end of the line, `①`, INT (ASCII digits),
-IDENT (a letter or `_`, then letters, digits or `_`), STR (double-quoted, on
-one line, read only in num's fields), OP; a column is an offset in its line.
+Tokens are one table, _TOKEN: blanks, newlines and `#` comments to the end of
+the line go in front of a token, then INT (ASCII digits), IDENT (a letter or
+`_`, then letters, digits or `_`), STR (double-quoted, on one line, read only
+in num's fields) or OP.  A token is a (kind, text, offset) tuple, and an OP's
+kind is its own text; a line and column are worked out only for a ParseError.
 An input may nest at most 100 levels deep, counting brackets, call
 arguments, unary operators and exponents; a deeper one is a ParseError,
 not a recursion.  A long chain such as 1 - 1 - ... - 1 nests one level.
@@ -52,7 +53,7 @@ re-parsing a rendered count, set, or boolean evaluates to an equal value.
 
 import re
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from . import gnum, observer, oracle, posnum, setmeasure
 from .errors import EvalError, ParseError, RepresentationLimit, UnboundIdentifier
@@ -148,52 +149,56 @@ Ast = Union[Lit, Name, Unary, Bin, Cmp, SetLit, Call, Let]
 # tokens
 
 
-class _Tok(NamedTuple):
-    kind: str  # INT, IDENT, STR, OP, EOF
-    text: str
-    line: int
-    col: int
-
-
-# see the module docstring; BAD takes any character no kind starts with, and
-# _tokenize refuses ² or ½ as an IDENT start, which [^\W\d] admits
+# see the module docstring; blanks, newlines and comments that end in a
+# newline are skipped in front of each token, and EOF takes a comment that
+# ends the input; IDENT starts with an ASCII letter or _, UIDENT with any
+# other character [^\W\d] admits, though _tokenize refuses ² or ½ there, and
+# BAD takes any character no kind starts with
 _TOKEN = re.compile(
-    r"""(?P<NEWLINE>\n)
-      | (?P<BLANK>[ \t\r]+)
-      | (?P<COMMENT>\#[^\n]*)
-      | (?P<CIRCLED_ONE>①)
+    r"""[ \t\r\n]*(?:\#[^\n]*\n[ \t\r\n]*)*
+    (?: (?P<OP>[<>=]=?|[-()+*/^&|\\~{},:])
       | (?P<INT>[0-9]+)
-      | (?P<IDENT>[^\W\d]\w*)
+      | (?P<IDENT>[A-Za-z_]\w*)
       | (?P<STR>"[^"\n]*")
       | (?P<UNTERMINATED>")
-      | (?P<OP><=|>=|==|[-()+*/^<>&|\\~{},:=])
-      | (?P<BAD>.)""",
+      | (?P<EOF>(?:\#[^\n]*)?\Z)
+      | (?P<CIRCLED_ONE>①)
+      | (?P<UIDENT>[^\W\d]\w*)
+      | (?P<BAD>.))""",
     re.VERBOSE,
 )
 
 
+def _where(text: str, offset: int) -> Tuple[int, int]:
+    """(line, column) of an offset, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _tokenize(text: str):
     toks = []
-    line, line_start, end = 1, 0, 0
+    push = toks.append
     for m in _TOKEN.finditer(text):
-        kind, start, end = m.lastgroup, m.start(), m.end()
-        at = start - line_start + 1
-        if kind == "NEWLINE":
-            line, line_start = line + 1, end
-        elif kind == "COMMENT":
-            end = start  # a comment leaves the column where it began
-        elif kind == "CIRCLED_ONE":
-            toks.append(_Tok("IDENT", "G", line, at))
-        elif kind == "STR":
-            toks.append(_Tok("STR", m.group()[1:-1], line, at))
-        elif kind == "UNTERMINATED":
-            raise ParseError("unterminated string", line, at, '"')
-        elif kind == "BAD" or kind == "IDENT" and not (text[start].isalpha() or text[start] == "_"):
-            raise ParseError(f"unexpected character {text[start]!r}", line, at)
-        elif kind != "BLANK":
-            toks.append(_Tok(kind, m.group(), line, at))
-    toks.append(_Tok("EOF", "", line, end - line_start + 1))
-    return toks
+        kind = m.lastgroup
+        if kind == "OP":
+            op = m.group(kind)
+            push((op, op, m.start(kind)))
+        elif kind == "INT" or kind == "IDENT":
+            push((kind, m.group(kind), m.start(kind)))
+        else:
+            at = m.start(kind)
+            if kind == "EOF":
+                push((kind, "", at))
+                return toks
+            if kind == "STR":
+                push((kind, m.group(kind)[1:-1], at))
+            elif kind == "CIRCLED_ONE":
+                push(("IDENT", "G", at))
+            elif kind == "UIDENT" and text[at].isalpha():
+                push(("IDENT", m.group(kind), at))
+            elif kind == "UNTERMINATED":
+                raise ParseError("unterminated string", *_where(text, at), '"')
+            else:
+                raise ParseError(f"unexpected character {text[at]!r}", *_where(text, at))
 
 
 # ---------------------------------------------------------------------------
@@ -207,68 +212,58 @@ _VERDICTS = {
     ">=": (Ordering.GREATER, Ordering.EQUAL),
     ">": (Ordering.GREATER,),
 }
-# binding power of each binary operator; '^' binds tighter still, see power
+# binding power of each binary operator; '^' binds tighter still, see prefix
 _BINDING = {"|": 1, "\\": 1, "&": 2, "+": 3, "-": 3, "*": 4, "/": 4}
 # nesting levels one input may open; deeper inputs are refused, not recursed
 _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+    """Reads the token list by index: kinds are INT, IDENT, STR, EOF or an OP."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def error(self, message: str, tok, expected: str = "") -> ParseError:
+        return ParseError(message, *_where(self.text, tok[2]), expected)
 
-    def advance(self) -> _Tok:
+    def unexpected(self, tok, expected: str, after: str = "") -> ParseError:
+        what = "end of input" if tok[0] == "EOF" else repr(tok[1])
+        return self.error(f"unexpected {what}{after}", tok, expected)
+
+    def expect(self, kind: str, expected: str = "") -> str:
         t = self.toks[self.i]
+        if t[0] != kind:
+            raise self.unexpected(t, expected or kind)
         self.i += 1
-        return t
-
-    def at_op(self, *texts) -> bool:
-        t = self.peek()
-        return t.kind == "OP" and t.text in texts
-
-    @staticmethod
-    def describe(t: _Tok) -> str:
-        return "end of input" if t.kind == "EOF" else f"{t.text!r}"
-
-    def expect(self, kind: str, text: Optional[str] = None, expected: str = ""):
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = expected or (text if text is not None else kind.lower())
-            raise ParseError(f"unexpected {self.describe(t)}", t.line, t.col, want)
-        return self.advance()
+        return t[1]
 
     def statement(self) -> Ast:
-        t = self.peek()
-        if t.kind == "IDENT" and t.text == "let":
-            self.advance()
-            name = self.expect("IDENT", expected="identifier").text
-            self.expect("OP", "=")
+        t = self.toks[0]
+        if t[0] == "IDENT" and t[1] == "let":
+            self.i = 1
+            name = self.expect("IDENT", "identifier")
+            self.expect("=")
             node: Ast = Let(name, self.expr())
         else:
             node = self.expr()
-        tail = self.peek()
-        if tail.kind != "EOF":
-            raise ParseError(
-                f"unexpected {self.describe(tail)} after expression",
-                tail.line,
-                tail.col,
-                "end of input",
-            )
+        tail = self.toks[self.i]
+        if tail[0] != "EOF":
+            raise self.unexpected(tail, "end of input", " after expression")
         return node
 
     def expr(self) -> Ast:
         left = self.binary()
-        if self.at_op(*_VERDICTS):
-            op = self.advance().text
+        op = self.toks[self.i][0]
+        if op in _VERDICTS:
+            self.i += 1
             right = self.binary()
-            if self.at_op(*_VERDICTS):
-                t = self.peek()
-                raise ParseError("comparisons do not chain", t.line, t.col, "end of input")
+            t = self.toks[self.i]
+            if t[0] in _VERDICTS:
+                raise self.error("comparisons do not chain", t, "end of input")
             return Cmp(op, left, right)
         return left
 
@@ -276,88 +271,93 @@ class _Parser:
         """Operands joined by binary operators, grouped by binding power, each
         power left-associative.  Pending operators wait on a stack, so mixing
         powers costs no recursion."""
+        toks = self.toks
         pending = []  # (power, operator, left operand), powers increasing
         node = self.prefix()
         while True:
-            t = self.peek()
-            power = _BINDING.get(t.text, 0) if t.kind == "OP" else 0
+            op = toks[self.i][0]
+            power = _BINDING.get(op, 0)
             while pending and pending[-1][0] >= power:
-                _, op, left = pending.pop()
-                node = Bin(op, left, node)
+                _, bop, left = pending.pop()
+                node = Bin(bop, left, node)
             if not power:
                 return node
-            self.advance()
-            pending.append((power, t.text, node))
+            self.i += 1
+            pending.append((power, op, node))
             node = self.prefix()
 
     def prefix(self) -> Ast:
         # every nesting level (brackets, call arguments, unary operators,
-        # exponents) enters here once, while a left-spine chain stays level
-        t = self.peek()
+        # exponents) enters here once, while a left-spine chain stays level;
+        # a literal or a name that no '^' or '(' follows is a leaf read here
+        toks, i = self.toks, self.i
+        kind, text, _ = t = toks[i]
         if self.depth > _MAX_NESTING:
-            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", t.line, t.col)
+            raise self.error(f"nesting deeper than {_MAX_NESTING} levels", t)
+        if (kind == "INT" or kind == "IDENT") and toks[i + 1][0] not in ("^", "("):
+            self.i = i + 1
+            return Name(text) if kind == "IDENT" else _literal(text)
         self.depth += 1
-        if t.kind == "OP" and t.text in ("-", "~"):
-            self.advance()
-            node: Ast = Unary(t.text, self.prefix())
+        if kind == "-" or kind == "~":
+            self.i = i + 1
+            node: Ast = Unary(kind, self.prefix())
         else:
-            node = self.power()
+            node = self.atom()
+            if toks[self.i][0] == "^":
+                self.i += 1
+                node = Bin("^", node, self.prefix())
         self.depth -= 1
         return node
 
-    def power(self) -> Ast:
-        base = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            return Bin("^", base, self.prefix())
-        return base
-
     def atom(self) -> Ast:
-        t = self.advance()
-        if t.kind == "INT":
-            # measured on the text, before int() has to read it
-            if len(t.text) > gnum.MAX_DIGITS:
-                raise RepresentationLimit(
-                    f"a literal has {len(t.text)} digits, more than {gnum.MAX_DIGITS}"
-                )
-            return Lit(int(t.text))
-        if t.kind == "IDENT":
-            if not self.at_op("("):
-                return Name(t.text)
-            self.advance()
+        kind, text, _ = t = self.toks[self.i]
+        self.i += 1
+        if kind == "INT":
+            return _literal(text)
+        if kind == "IDENT":
+            if self.toks[self.i][0] != "(":
+                return Name(text)
+            self.i += 1
             args = self.items(")")
-            if t.text != "num" or not self.at_op("{"):
-                return Call(t.text, args)
-            self.advance()
-            return Call(t.text, args, self.items("}", _Parser.field))
-        if t.kind == "OP" and t.text == "(":
+            if text != "num" or self.toks[self.i][0] != "{":
+                return Call(text, args)
+            self.i += 1
+            return Call(text, args, self.items("}", _Parser.field))
+        if kind == "(":
             node = self.expr()
-            self.expect("OP", ")")
+            self.expect(")")
             return node
-        if t.kind == "OP" and t.text == "{":
+        if kind == "{":
             return SetLit(self.items("}"))
-        raise ParseError(f"unexpected {self.describe(t)}", t.line, t.col, "expression")
+        raise self.unexpected(t, "expression")
 
     def field(self) -> Tuple[str, str]:
-        key = self.expect("IDENT", expected="field name").text
-        self.expect("OP", ":")
-        return key, self.expect("STR", expected="quoted digits").text
+        key = self.expect("IDENT", "field name")
+        self.expect(":")
+        return key, self.expect("STR", "quoted digits")
 
     def items(self, close: str, item=expr) -> tuple:
         """Comma-separated items, expressions unless item says otherwise, up
         to and including the close bracket."""
         elems = []
-        if not self.at_op(close):
+        if self.toks[self.i][0] != close:
             elems.append(item(self))
-            while self.at_op(","):
-                self.advance()
+            while self.toks[self.i][0] == ",":
+                self.i += 1
                 elems.append(item(self))
-        self.expect("OP", close)
+        self.expect(close)
         return tuple(elems)
 
 
+def _literal(text: str) -> Lit:
+    # measured on the text, before int() has to read it
+    if len(text) > gnum.MAX_DIGITS:
+        raise RepresentationLimit(f"a literal has {len(text)} digits, more than {gnum.MAX_DIGITS}")
+    return Lit(int(text))
+
+
 def parse(text: str) -> Ast:
-    return _Parser(_tokenize(text)).statement()
+    return _Parser(text).statement()
 
 
 # ---------------------------------------------------------------------------

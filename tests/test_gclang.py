@@ -18,6 +18,7 @@ from grosscalc.gclang import (
     SignedMeasured,
     Unary,
     _tokenize,
+    _where,
     default_env,
     eval_text,
     parse,
@@ -36,6 +37,9 @@ from grosscalc.gnum import (
 )
 from grosscalc.observer import ALEPH0, MANY, Observation, PIRAHA
 from grosscalc.posnum import CriticalPair, numeral
+
+import reference_parser
+from test_language_tables import _SHAPES
 
 
 class TestParseStructure:
@@ -442,6 +446,15 @@ def _tokens_or_error(tokenize, text):
         return (str(e), e.line, e.col, e.expected)
 
 
+def _positioned(text):
+    """_tokenize's (kind, text, offset) tokens as the loop writes them,
+    (kind, text, line, col), with an operator's kind written OP."""
+    return [
+        (kind if kind in ("INT", "IDENT", "STR", "EOF") else "OP", tok, *_where(text, offset))
+        for kind, tok, offset in _tokenize(text)
+    ]
+
+
 _PIECES = st.sampled_from(
     list("①²½٣é\xa0\r\t\n #\"_xG07$") + list("()+-*/^<>&|\\~{},:=") + ["<=", ">=", "=="]
 )
@@ -450,16 +463,91 @@ _PIECES = st.sampled_from(
 @settings(max_examples=500)
 @given(st.lists(_PIECES, max_size=30).map("".join))
 def test_token_table_agrees_with_the_character_loop(text):
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+    assert _tokens_or_error(_positioned, text) == _tokens_or_error(reference_tokenize, text)
 
 
 def test_token_table_keeps_the_loop_s_quirks():
     # a numeric character is no identifier start, and a trailing comment
     # leaves the end-of-input column where the comment began
     for text in ("x²", "²x", "½", "a٣", "٣", "1 + 2 # note", "a\n  # note", '"ab\n"'):
-        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
-    assert _tokens_or_error(_tokenize, "²x") == ("unexpected character '²' at line 1, column 1", 1, 1, "")
-    assert _tokenize("1 # note")[-1].col == 3
+        assert _tokens_or_error(_positioned, text) == _tokens_or_error(reference_tokenize, text)
+    assert _tokens_or_error(_positioned, "²x") == ("unexpected character '²' at line 1, column 1", 1, 1, "")
+    assert _positioned("1 # note")[-1] == ("EOF", "", 1, 3)
+    # an operator's kind is its own text, and a token keeps only its offset
+    assert _tokenize("a <= 1 # note") == [
+        ("IDENT", "a", 0), ("<=", "<=", 2), ("INT", "1", 5), ("EOF", "", 7)
+    ]
+
+
+def _parsed_or_error(parser, text):
+    """The AST, or the error's kind, message, line, column and hint."""
+    try:
+        return parser(text)
+    except errors.GrossError as e:
+        return (e.kind, str(e), getattr(e, "line", None), getattr(e, "col", None),
+                getattr(e, "expected", None))
+
+
+@st.composite
+def _poly_texts(draw):
+    """Polynomial texts such as the benchmark's gross_poly sends."""
+    def poly():
+        terms = []
+        for _ in range(draw(st.integers(1, 5))):
+            c, e = draw(st.integers(-9, 9)), draw(st.integers(-3, 9))
+            coeff = f"({c})" if c < 0 else str(c)
+            terms.append(coeff if e == 0 else f"{coeff}*G" if e == 1 else f"{coeff}*G^{e}")
+        return draw(st.sampled_from([" + ", " - ", "+"])).join(terms)
+
+    return draw(st.sampled_from([
+        "({p}) * ({q})", "({p}) / (G^3)", "2^(G + 1)", "({p})^3", "{p} < {q}",
+        "-({p}) >= 2^G", "let P = {p}", 'num(10, G){{head: "12", tail: "1"}}',
+        "card(ap(3, 7) | ~ap(1, 2)) == {q}", "({p}) * ({q}",
+    ])).format(p=poly(), q=poly())
+
+
+_NESTED = st.builds(
+    lambda shape, depth, core: shape[0] * depth + core + shape[1] * depth,
+    st.sampled_from(_SHAPES), st.sampled_from([99, 100, 101]),
+    st.sampled_from(["1", "G", "G^2", "-1", "card(N)", "2^G^2", "(1"]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    st.lists(_TOKENS, max_size=14).map(" ".join),
+    st.lists(_PIECES, max_size=30).map("".join),
+    _poly_texts(),
+    _NESTED,
+))
+def test_parser_agrees_with_the_reference(text):
+    assert _parsed_or_error(parse, text) == _parsed_or_error(reference_parser.parse, text)
+
+
+class TestErrorPositions:
+    """Positions worked out from a token's offset only once parsing fails."""
+
+    @pytest.mark.parametrize("text, outcome", [
+        # line 3, after a \r\n and a comment
+        ("1 +\r\n2 # two\n * )", ("ParseError", "unexpected ')' at line 3, column 4 (expected expression)", 3, 4, "expression")),
+        ("1 +\r\n2 # two\n  $", ("ParseError", "unexpected character '$' at line 3, column 3", 3, 3, "")),
+        (("(" * 100) + "G^2" + (")" * 100),
+         ("ParseError", "nesting deeper than 100 levels at line 1, column 103", 1, 103, "")),
+        ('num(10, G){tail:\t"12}', ("ParseError", "unterminated string at line 1, column 18 (expected \")", 1, 18, '"')),
+        ("1 # note", Lit(1)),
+        ("1 + # note", ("ParseError", "unexpected end of input at line 1, column 5 (expected expression)", 1, 5, "expression")),
+    ])
+    def test_pinned(self, text, outcome):
+        got = _parsed_or_error(parse, text)
+        assert got == _parsed_or_error(reference_parser.parse, text) == outcome
+
+    @pytest.mark.parametrize("template", ["{}", "{}^2", "2^{}", "-{} + 1"])
+    def test_a_literal_past_the_digit_cap_is_a_representation_limit(self, template):
+        text = template.format("7" * 4301)
+        got = _parsed_or_error(parse, text)
+        assert got == _parsed_or_error(reference_parser.parse, text)
+        assert got[:2] == ("RepresentationLimit", "a literal has 4301 digits, more than 4300")
+        assert parse(template.format("7" * 4300)) == reference_parser.parse(template.format("7" * 4300))
 
 
 class TestTypeTags:
