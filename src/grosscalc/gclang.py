@@ -94,52 +94,98 @@ from .setmeasure import (
 # syntax tree
 
 
-@dataclass(frozen=True)
+# Syntax nodes are frozen dataclasses, so they compare by class and fields,
+# hash, print and refuse assignment as dataclasses do, but each __init__
+# writes its fields straight into __dict__: the generated one makes one
+# object.__setattr__ call per field, which nearly doubles the cost of a
+# node.  They stay dataclasses, not tuples or slotted classes: a tree is
+# walked by vars() and dataclasses.fields(), and a Bin must not equal a Cmp
+# of the same fields.
+
+
+@dataclass(frozen=True, init=False)
 class Lit:
     value: int
 
+    def __init__(self, value):
+        self.__dict__["value"] = value
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Name:
     ident: str
 
+    def __init__(self, ident):
+        self.__dict__["ident"] = ident
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Unary:
     op: str
     operand: "Ast"
 
+    def __init__(self, op, operand):
+        d = self.__dict__
+        d["op"] = op
+        d["operand"] = operand
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Bin:
     op: str
     left: "Ast"
     right: "Ast"
 
+    def __init__(self, op, left, right):
+        d = self.__dict__
+        d["op"] = op
+        d["left"] = left
+        d["right"] = right
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Cmp:
     op: str
     left: "Ast"
     right: "Ast"
 
+    def __init__(self, op, left, right):
+        d = self.__dict__
+        d["op"] = op
+        d["left"] = left
+        d["right"] = right
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SetLit:
     elems: Tuple["Ast", ...]
 
+    def __init__(self, elems):
+        self.__dict__["elems"] = elems
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Call:
     func: str
     args: Tuple["Ast", ...]
     fields: Tuple[Tuple[str, str], ...] = ()
 
+    def __init__(self, func, args, fields=()):
+        d = self.__dict__
+        d["func"] = func
+        d["args"] = args
+        d["fields"] = fields
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Let:
     name: str
     value: "Ast"
+
+    def __init__(self, name, value):
+        d = self.__dict__
+        d["name"] = name
+        d["value"] = value
 
 
 Ast = Union[Lit, Name, Unary, Bin, Cmp, SetLit, Call, Let]
@@ -424,8 +470,11 @@ _BUILTINS = frozenset(default_env()) | {"let"}
 # argument checks: (value, what, minimum) -> the value the call receives
 
 
+_COUNTS = (GrossPoly, ExpCount)
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (GrossPoly, ExpCount))
+    return isinstance(v, _COUNTS)
 
 
 def _want_number(v, what: str, minimum=None) -> GrossNumber:
@@ -552,6 +601,14 @@ def _eval_pow(base, exp):
 
 
 def _eval_arith(op, a, b):
+    if isinstance(a, _COUNTS) and isinstance(b, _COUNTS):
+        if op == "+":
+            return gnum.add(a, b)
+        if op == "-":
+            return gnum.sub(a, b)
+        if op == "*":
+            return gnum.mul(a, b)
+        return gnum.div_exact(a, b)
     if isinstance(a, CritRef) or isinstance(b, CritRef):
         # critical lengths shift by finite integers and nothing else
         if op == "+" and isinstance(b, CritRef) and not isinstance(a, CritRef):
@@ -562,15 +619,10 @@ def _eval_arith(op, a, b):
         raise EvalError("critical lengths only shift by finite integers")
     if isinstance(a, _DualRoute) or isinstance(b, _DualRoute):
         raise EvalError(f"{op} does not apply to sets; use | & \\ ~")
-    a = _want_number(a, f"the left operand of {op}")
-    b = _want_number(b, f"the right operand of {op}")
-    if op == "+":
-        return gnum.add(a, b)
-    if op == "-":
-        return gnum.sub(a, b)
-    if op == "*":
-        return gnum.mul(a, b)
-    return gnum.div_exact(a, b)
+    # one side is not a count, and the first check that finds it raises
+    _want_number(a, f"the left operand of {op}")
+    _want_number(b, f"the right operand of {op}")
+    raise AssertionError("unreachable: both operands are counts")
 
 
 def _eval_setop(op, a, b):
@@ -631,52 +683,34 @@ def _eval_set_literal(elems):
 
 def evaluate(ast: Ast, env: Dict[str, Value]) -> Value:
     """Evaluate under env; a let-statement also binds its name there."""
-    if isinstance(ast, Let):
-        if ast.name in _BUILTINS or ast.name in _CALLS:
-            raise EvalError(f"{ast.name!r} is reserved")
-        value = evaluate(ast.value, env)
-        env[ast.name] = value
-        return value
-    if isinstance(ast, Lit):
-        return fin(ast.value)
-    if isinstance(ast, Name):
-        try:
-            return env[ast.ident]
-        except KeyError:
-            raise UnboundIdentifier(f"unbound identifier {ast.ident!r}") from None
-    if isinstance(ast, Unary):
-        v = evaluate(ast.operand, env)
-        if ast.op == "-":
-            return gnum.neg(_want_number(v, "the operand of unary -"))
-        if isinstance(v, MeasuredSet):
-            return MeasuredSet(setmeasure.complement(v.record), ComplementE(v.expr))
-        if isinstance(v, SignedMeasured):
-            return SignedMeasured(
-                setmeasure.complement_signed(v.record), setmeasure.complement_signed(v.expr)
-            )
-        raise EvalError(f"~ expects a set, got {type_tag(v)}")
-    if isinstance(ast, Bin):
+    # node kinds in order of how often they occur
+    kind = type(ast)
+    if kind is Bin:
         # a loop down the left spine, evaluating left to right: a rendered
         # union of a thousand residue classes must not recurse per operator
         spine = []
-        while isinstance(ast, Bin):
+        while type(ast) is Bin:
             spine.append(ast)
             ast = ast.left
         acc = evaluate(ast, env)
         for node in reversed(spine):
             b = evaluate(node.right, env)
-            if node.op == "^":
+            op = node.op
+            if op in ("+", "-", "*", "/"):
+                acc = _eval_arith(op, acc, b)
+            elif op == "^":
                 acc = _eval_pow(acc, b)
-            elif node.op in ("+", "-", "*", "/"):
-                acc = _eval_arith(node.op, acc, b)
             else:
-                acc = _eval_setop(node.op, acc, b)
+                acc = _eval_setop(op, acc, b)
         return acc
-    if isinstance(ast, Cmp):
-        return _eval_cmp(ast.op, evaluate(ast.left, env), evaluate(ast.right, env))
-    if isinstance(ast, SetLit):
-        return _eval_set_literal([evaluate(e, env) for e in ast.elems])
-    if isinstance(ast, Call):
+    if kind is Lit:
+        return fin(ast.value)
+    if kind is Name:
+        try:
+            return env[ast.ident]
+        except KeyError:
+            raise UnboundIdentifier(f"unbound identifier {ast.ident!r}") from None
+    if kind is Call:
         row = _CALLS.get(ast.func)
         if row is None:
             raise UnboundIdentifier(f"unknown function {ast.func!r}")
@@ -691,6 +725,27 @@ def evaluate(ast: Ast, env: Dict[str, Value]) -> Value:
             check, what, minimum = row[i + 1]
             values[i] = check(values[i], what, minimum)
         return row[0](*values, *ast.fields)
+    if kind is Unary:
+        v = evaluate(ast.operand, env)
+        if ast.op == "-":
+            return gnum.neg(_want_number(v, "the operand of unary -"))
+        if isinstance(v, MeasuredSet):
+            return MeasuredSet(setmeasure.complement(v.record), ComplementE(v.expr))
+        if isinstance(v, SignedMeasured):
+            return SignedMeasured(
+                setmeasure.complement_signed(v.record), setmeasure.complement_signed(v.expr)
+            )
+        raise EvalError(f"~ expects a set, got {type_tag(v)}")
+    if kind is Cmp:
+        return _eval_cmp(ast.op, evaluate(ast.left, env), evaluate(ast.right, env))
+    if kind is SetLit:
+        return _eval_set_literal([evaluate(e, env) for e in ast.elems])
+    if kind is Let:
+        if ast.name in _BUILTINS or ast.name in _CALLS:
+            raise EvalError(f"{ast.name!r} is reserved")
+        value = evaluate(ast.value, env)
+        env[ast.name] = value
+        return value
     raise EvalError(f"unexpected syntax node {ast!r}")
 
 

@@ -21,19 +21,26 @@ comparisons the closure cannot decide raise :class:`Undetermined` rather than
 guessing.
 
 Each GrossPoly stores what canonicalization asks of it again and again, so
-that no question walks its nested terms twice: its exponent depth, computed
-at construction from its exponents' stored depths; its hash, computed on
-first use; and an order key, a nested tuple built on first use that orders
-exactly as the values do, so ``_canon`` sorts by it and ``_cmp_poly`` is one
-tuple comparison.  One function, ``_order_key``, builds the keys of a value
-and of its negation, which a negative term needs for its exponent.  The
-facts live on the value and go with it: there is no table of values and no
-memo that outlives an operation.  A sum merges the two sorted term lists
-in one pass, comparing exponents by their order keys.  A product by a
-rational scales the other side's terms.  Any other product adds rational
-exponents as rationals, not as polynomials, and every term pair with one
-rational sum shares one exponent object, so its one canonicalization hashes
-and orders each distinct exponent once.
+that no question walks its nested terms twice: its exponent depth; its hash,
+computed on first use; and an order key, a nested tuple built on first use
+that orders exactly as the values do, so ``_canon`` sorts by it and
+``_cmp_poly`` is one tuple comparison.  One function, ``_order_key``, builds
+the keys of a value and of its negation, which a negative term needs for its
+exponent.  The facts live on the value and go with it: there is no table of
+values and no memo that outlives an operation.  Arithmetic builds its
+results through ``_poly``, which writes the fields straight into the
+instance and takes the depth from the operands where it is exact by
+construction: a negation or a scaling keeps its operand's depth, and a sum
+in which no coefficient cancels takes the larger of the two.  A cancelled
+term may take the deepest exponent with it, so such a sum, like every other
+result, scans its exponents' stored depths.  A sum merges the two sorted
+term lists in one pass, comparing exponents by their order keys.  A product
+by a rational scales the other side's terms.  Any other product adds each
+pair of rational exponents as rationals, under an int or ``_fraction_key``
+key, and since finite exponents order as their rationals do, those terms
+come out sorted by the rational, with no canonicalization; only pairs with
+a non-rational exponent add polynomials, and then one ``_canon`` takes
+every term.
 
 Exponential counts relate to one another through three rules, one function
 each, and each refuses with ExponentTooLarge a power it will not compute:
@@ -233,11 +240,14 @@ class GrossPoly(_Arithmetic):
     values through :func:`make_poly`, :func:`fin` or the arithmetic
     operators rather than the raw constructor.
 
-    Every constructor call computes the exponent depth from the exponents'
-    stored ``_depth`` and refuses one past ``MAX_EXPONENT_DEPTH``.  The hash
-    and the order keys of the value and of its negation are built on first
-    use and kept on the value: many values, such as the finite counts of set
-    measurement, are never hashed or ordered.
+    The public constructor computes the exponent depth from the exponents'
+    stored ``_depth`` and refuses one past ``MAX_EXPONENT_DEPTH``.  The
+    module's arithmetic builds values through ``_poly`` instead, which skips
+    the dataclass machinery and takes the depth from its operands where that
+    is exact (negations, scalings, sums with no cancelled term) and scans it
+    otherwise.  The hash and the order keys of the value and of its negation
+    are built on first use and kept on the value: many values, such as the
+    finite counts of set measurement, are never hashed or ordered.
     """
 
     terms: Tuple[Tuple[Union[int, Fraction], "GrossPoly"], ...] = ()
@@ -248,12 +258,7 @@ class GrossPoly(_Arithmetic):
     _neg_key = None
 
     def __post_init__(self):
-        depth = 1 + max([exp._depth for _, exp in self.terms]) if self.terms else 0
-        if depth > MAX_EXPONENT_DEPTH:
-            raise DepthLimitExceeded(
-                f"exponent nesting deeper than {MAX_EXPONENT_DEPTH} is not supported"
-            )
-        object.__setattr__(self, "_depth", depth)
+        object.__setattr__(self, "_depth", _scan_depth(self.terms))
 
     # structure probes
 
@@ -269,10 +274,11 @@ class GrossPoly(_Arithmetic):
 
     def as_rational(self) -> Union[int, Fraction, None]:
         """The exact rational value, or None if any G power is present."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return 0
-        if len(self.terms) == 1 and self.terms[0][1].is_zero:
-            return self.terms[0][0]
+        if len(terms) == 1 and not terms[0][1].terms:
+            return terms[0][0]
         return None
 
     def as_int(self) -> Optional[int]:
@@ -315,6 +321,31 @@ class GrossPoly(_Arithmetic):
         return bool(self.terms)
 
 
+def _scan_depth(terms) -> int:
+    """The exponent depth of canonical terms, from their exponents' stored
+    depths; DepthLimitExceeded past MAX_EXPONENT_DEPTH."""
+    depth = 1 + max([exp._depth for _, exp in terms]) if terms else 0
+    if depth > MAX_EXPONENT_DEPTH:
+        raise DepthLimitExceeded(
+            f"exponent nesting deeper than {MAX_EXPONENT_DEPTH} is not supported"
+        )
+    return depth
+
+
+def _poly(terms, depth: Optional[int] = None) -> GrossPoly:
+    """A plain GrossPoly of canonical terms, written straight into its
+    ``__dict__``.  A caller passes the depth only where it is exact by
+    construction; without one the terms are scanned, as the public
+    constructor does."""
+    if depth is None:
+        depth = _scan_depth(terms)
+    p = object.__new__(GrossPoly)
+    fields = p.__dict__
+    fields["terms"] = terms
+    fields["_depth"] = depth
+    return p
+
+
 ZERO = GrossPoly()
 ONE = GrossPoly(((1, ZERO),))
 GROSSONE = GrossPoly(((1, ONE),))
@@ -326,7 +357,7 @@ def fin(value) -> GrossPoly:
     coeff = _exact(value)
     if not coeff:
         return ZERO
-    return GrossPoly(((coeff, ZERO),))
+    return _poly(((coeff, ZERO),), 1)
 
 
 def gterm(coeff, exp: GrossPoly) -> GrossPoly:
@@ -334,7 +365,7 @@ def gterm(coeff, exp: GrossPoly) -> GrossPoly:
     coeff = _exact(coeff)
     if not coeff:
         return ZERO
-    return GrossPoly(((coeff, exp),))
+    return _poly(((coeff, exp),))
 
 
 def make_poly(pairs: Iterable[Tuple[Union[int, Fraction], GrossPoly]]) -> GrossPoly:
@@ -349,7 +380,7 @@ def _canon(pairs) -> GrossPoly:
             acc[exp] = acc[exp] + coeff if exp in acc else coeff
     items = [(_exact(coeff), exp) for exp, coeff in acc.items() if coeff]
     items.sort(key=lambda term: _order_key(term[1]), reverse=True)
-    return GrossPoly(tuple(items))
+    return _poly(tuple(items))
 
 
 # closes every order key: a value that runs out of terms compares below a
@@ -393,11 +424,13 @@ def _padd(x: GrossPoly, y: GrossPoly) -> GrossPoly:
     """x + y in O(n + m): one merge of the sorted term lists by order key.
 
     No hash and no sort; the result is always a fresh plain GrossPoly, so a
-    SetCount plus zero is a plain count."""
+    SetCount plus zero is a plain count.  Every exponent survives unless a
+    coefficient cancels, so only then is the depth scanned."""
     xs, ys = x.terms, y.terms
     n, m = len(xs), len(ys)
     out = []
     i = j = 0
+    cancelled = False
     while i < n and j < m:
         cx, ex = xs[i]
         cy, ey = ys[j]
@@ -414,13 +447,17 @@ def _padd(x: GrossPoly, y: GrossPoly) -> GrossPoly:
         c = cx + cy
         if c:
             out.append((_exact(c), ex))
+        else:
+            cancelled = True
         i += 1
         j += 1
-    return GrossPoly((*out, *xs[i:], *ys[j:]))
+    terms = (*out, *xs[i:], *ys[j:])
+    # a cancelled term may take the deepest exponent with it
+    return _poly(terms, None if cancelled else max(x._depth, y._depth))
 
 
 def _pneg(x: GrossPoly) -> GrossPoly:
-    return GrossPoly(tuple((-c, e) for c, e in x.terms))
+    return _poly(tuple([(-c, e) for c, e in x.terms]), x._depth)
 
 
 def _psub(x: GrossPoly, y: GrossPoly) -> GrossPoly:
@@ -431,7 +468,9 @@ def _pscale(x: GrossPoly, factor: Union[int, Fraction]) -> GrossPoly:
     factor = _exact(factor)
     if not factor:
         return ZERO
-    return GrossPoly(tuple((_exact(c * factor), e) for c, e in x.terms))
+    if factor == 1 and type(x) is GrossPoly:
+        return x
+    return _poly(tuple([(_exact(c * factor), e) for c, e in x.terms]), x._depth)
 
 
 def _fraction_key(r: Fraction):
@@ -442,35 +481,58 @@ def _fraction_key(r: Fraction):
 
 
 def _pmul(x: GrossPoly, y: GrossPoly) -> GrossPoly:
-    """x * y in O(n*m) coefficient products and one canonicalization.
+    """x * y in O(n*m) coefficient products.
 
-    A rational side costs O(n), a scaling; otherwise each distinct rational
-    exponent sum is one exponent object."""
+    A rational side costs O(n), a scaling.  Otherwise a term pair whose
+    exponents are both rational adds its coefficient under the rational sum,
+    keyed by an int or a ``_fraction_key``, which hash and compare in C.
+    Finite exponents order as their rationals do, so those terms need no
+    canonicalization: they are sorted by the rational and take the operands'
+    exponent objects or ``fin`` of the sum.  Only pairs with a non-rational
+    exponent add polynomials, and then one ``_canon`` takes both kinds."""
     # a rational factor scales the other side's terms and keeps their order
-    for p, q in ((x, y), (y, x)):
-        r = p.as_rational()
-        if r is not None:
-            return _pscale(q, r)
+    r = x.as_rational()
+    if r is not None:
+        return _pscale(y, r)
+    r = y.as_rational()
+    if r is not None:
+        return _pscale(x, r)
     xs = [(c, e, e.as_rational()) for c, e in x.terms]
     ys = [(c, e, e.as_rational()) for c, e in y.terms]
-    # pairs with one rational sum share its exponent, so _canon finds it by
-    # identity under a cached hash; the operands' own exponents come first
+    y_rational = [(c, r) for c, _, r in ys if r is not None]
+    y_other = [(c, e) for c, e, r in ys if r is None]
+    sums = {}  # key of a rational exponent sum -> coefficient sum
+    rationals = {}  # the same key -> the rational sum
+    other = []  # (coefficient, exponent) of pairs with a non-rational exponent
+    for cx, ex, rx in xs:
+        if rx is None:
+            other += [(cx * cy, _padd(ex, ey)) for cy, ey, _ in ys]
+            continue
+        other += [(cx * cy, _padd(ex, ey)) for cy, ey in y_other]
+        for cy, ry in y_rational:
+            r = rx + ry
+            k = r if type(r) is int else _fraction_key(r)
+            if k in sums:
+                sums[k] += cx * cy
+            else:
+                sums[k] = cx * cy
+                rationals[k] = r
+    # a sum equal to an operand's exponent takes that exponent object
     shared = {
         r if type(r) is int else _fraction_key(r): e for _, e, r in xs + ys if r is not None
     }
-    acc = []
-    for cx, ex, rx in xs:
-        for cy, ey, ry in ys:
-            if rx is None or ry is None:
-                exp = _padd(ex, ey)
-            else:
-                r = rx + ry
-                k = r if type(r) is int else _fraction_key(r)
-                exp = shared.get(k)
-                if exp is None:
-                    exp = shared[k] = fin(r)
-            acc.append((cx * cy, exp))
-    return _canon(acc)
+    keys = [k for k, c in sums.items() if c]
+    if not other:
+        keys.sort(key=rationals.__getitem__, reverse=True)
+    terms = []
+    for k in keys:
+        exp = shared.get(k)
+        if exp is None:  # not a truth test: ZERO is falsy
+            exp = fin(rationals[k])
+        terms.append((_exact(sums[k]), exp))
+    if other:
+        return _canon(terms + other)
+    return _poly(tuple(terms))
 
 
 def _check_base(base) -> None:

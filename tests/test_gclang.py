@@ -1,5 +1,6 @@
 """Parser structure, evaluation semantics, and the render round trip."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,63 @@ class TestParseStructure:
 
     def test_comments_are_whitespace(self):
         assert parse("1 + 1 # the obvious one") == parse("1+1")
+
+
+# one node of each kind, the names of its fields, and a text it parses from
+_NODES = [
+    (Lit(1), ("value",), "1"),
+    (Name("G"), ("ident",), "G"),
+    (Unary("-", Lit(1)), ("op", "operand"), "-1"),
+    (Bin("+", Lit(1), Lit(2)), ("op", "left", "right"), "1 + 2"),
+    (Cmp("<", Lit(1), Lit(2)), ("op", "left", "right"), "1 < 2"),
+    (SetLit((Lit(1),)), ("elems",), "{1}"),
+    (Call("num", (Lit(10), Name("G")), (("tail", "1"),)), ("func", "args", "fields"),
+     'num(10, G){tail: "1"}'),
+    (Let("A", Lit(1)), ("name", "value"), "let A = 1"),
+]
+_NODE_IDS = [type(node).__name__ for node, _, _ in _NODES]
+
+
+class TestSyntaxNodes:
+    """Nodes write their fields into __dict__ but keep the dataclass contract."""
+
+    @pytest.mark.parametrize("node, names, text", _NODES, ids=_NODE_IDS)
+    def test_fields_are_frozen(self, node, names, text):
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.extra = 1
+
+    @pytest.mark.parametrize("node, names, text", _NODES, ids=_NODE_IDS)
+    def test_vars_and_fields_name_the_fields(self, node, names, text):
+        # the benchmark tracer counts a tree's nodes through both
+        assert tuple(vars(node)) == names
+        assert tuple(f.name for f in dataclasses.fields(node)) == names
+        assert hasattr(node, "__dataclass_fields__")
+
+    def test_equality_is_by_class_and_fields(self):
+        assert Bin("+", Lit(1), Lit(2)) == Bin("+", Lit(1), Lit(2))
+        assert Bin("+", Lit(1), Lit(2)) != Cmp("+", Lit(1), Lit(2))
+        assert Bin("+", Lit(1), Lit(2)) != Bin("-", Lit(1), Lit(2))
+        assert Lit(1) != Name("1")
+
+    @pytest.mark.parametrize("node, names, text", _NODES, ids=_NODE_IDS)
+    def test_equal_nodes_hash_equal(self, node, names, text):
+        twin = parse(text)
+        assert twin == node and twin is not node
+        assert hash(twin) == hash(node)
+        assert len({twin, node}) == 1
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(Bin("+", Lit(1), Lit(2))) == "Bin(op='+', left=Lit(value=1), right=Lit(value=2))"
+        assert repr(Call("ap", (Lit(1), Lit(2)))) == (
+            "Call(func='ap', args=(Lit(value=1), Lit(value=2)), fields=())"
+        )
+
+    def test_call_fields_default_to_empty(self):
+        assert Call("ap", ()).fields == ()
+        assert Call("ap", ()) == Call("ap", (), ())
 
 
 class TestEvaluation:

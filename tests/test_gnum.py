@@ -85,6 +85,38 @@ class TestConstruction:
             build(tower)
 
 
+def tower(levels: int) -> GrossPoly:
+    """G^(G^(...)) with the given exponent depth: ONE has depth 1."""
+    t = ONE
+    for _ in range(levels - 1):
+        t = gterm(1, t)
+    return t
+
+
+class TestDepth:
+    def test_depth_kept_where_no_term_cancels(self):
+        t = tower(8)
+        assert t._depth == 8
+        for value in (t + 1, -t, 2 * t, t * Fraction(1, 3), t - G, t + t):
+            assert value._depth == 8
+
+    def test_a_cancelled_term_takes_its_depth_with_it(self):
+        t = tower(8)
+        assert ((t - t) + G)._depth == 2
+        assert ((t + G) - t)._depth == 2
+        assert ((G + t) + (-t))._depth == 2
+        # so one more level of exponent is accepted
+        assert render_gross(gterm(1, (t - t) + G)) == "G^(G)"
+        assert render_gross(gterm(1, (t + G) - t)) == "G^(G)"
+
+    def test_one_more_level_is_refused(self):
+        t = tower(8)
+        with pytest.raises(errors.DepthLimitExceeded):
+            gterm(1, t + 1)
+        with pytest.raises(errors.DepthLimitExceeded):
+            gterm(1, -t)
+
+
 class TestAddition:
     def test_plus_zero_is_identity(self):
         assert add(G, ZERO) == G
@@ -180,38 +212,61 @@ class TestMultiplication:
             mul(pow_count(2, G), pow_count(3, G))
 
 
+def pairwise_product(x: GrossPoly, y: GrossPoly) -> GrossPoly:
+    """x * y by the schoolbook rule: every term pair, one canonicalization."""
+    return make_poly((cx * cy, ex + ey) for cx, ex in x.terms for cy, ey in y.terms)
+
+
+def count_canon_calls(monkeypatch, x, y):
+    """(x * y, the number of _canon calls it made)."""
+    calls = []
+    canon = gnum._canon
+
+    def counting(pairs):
+        calls.append(1)
+        return canon(pairs)
+
+    monkeypatch.setattr(gnum, "_canon", counting)
+    got = gnum._pmul(x, y)
+    monkeypatch.undo()
+    return got, len(calls)
+
+
 class TestRationalExponentSums:
-    def test_all_rational_exponents_canonicalize_once(self, monkeypatch):
+    def test_all_rational_product_makes_no_canon_call(self, monkeypatch):
+        # integral, fractional and negative sums, and a sum that is 0
         x = G ** 2 - 3 * G + Fraction(1, 2) + G ** -1
         y = 2 * G - 5 + gterm(Fraction(-1, 3), fin(Fraction(-1, 2)))
-        expected = mul(x, y)
-        calls = []
-        canon = gnum._canon
+        expected = pairwise_product(x, y)
+        got, calls = count_canon_calls(monkeypatch, x, y)
+        assert calls == 0
+        assert got == expected
+        assert render_gross(got) == render_gross(expected)
 
-        def counting(pairs):
-            calls.append(1)
-            return canon(pairs)
-
-        monkeypatch.setattr(gnum, "_canon", counting)
-        assert gnum._pmul(x, y) == expected
-        assert len(calls) == 1
+    def test_product_with_a_g_to_the_g_term_canonicalizes_once(self, monkeypatch):
+        x = gterm(1, G) + 2 * G - 1
+        y = gterm(-1, G) + G / 3 + gterm(4, fin(Fraction(-1, 2)))
+        expected = pairwise_product(x, y)
+        got, calls = count_canon_calls(monkeypatch, x, y)
+        assert calls == 1
+        assert got == expected
+        assert render_gross(got) == render_gross(expected)
 
 
 class TestMergedArithmetic:
     @staticmethod
     def operands():
         # every exponent a fresh object, so no shortcut by identity hides an
-        # equality test between two equal exponents.  The exponents are not
-        # negative: CPython hashes -1 and -2 alike, so a product holding both
-        # compares them once in _canon's dict, a collision and not a repeat
-        x = make_poly((c, fin(Fraction(e, 2))) for c, e in zip(range(1, 31), range(30)))
-        y = make_poly((-c, fin(Fraction(e, 3))) for c, e in zip(range(1, 21), range(0, 60, 3)))
+        # equality test between two equal exponents; x holds the exponents -1
+        # and -2, which CPython hashes alike
+        x = make_poly((c, fin(Fraction(e - 4, 2))) for c, e in zip(range(1, 31), range(30)))
+        y = make_poly((-c, fin(Fraction(e, 3))) for c, e in zip(range(5, 25), range(0, 60, 3)))
         return x, y
 
     def test_sum_and_rational_product_make_no_equality_call(self, monkeypatch):
         x, y = self.operands()
         # x * x adds halves to halves, so integral Fraction sums meet int ones
-        expected = (gnum._padd(x, y), gnum._pmul(x, y), gnum._pmul(x, x))
+        expected = (make_poly(x.terms + y.terms), pairwise_product(x, y), pairwise_product(x, x))
         x, y = self.operands()
         calls = []
         eq = GrossPoly.__eq__
@@ -226,9 +281,9 @@ class TestMergedArithmetic:
         monkeypatch.undo()
         assert count == 0
         assert got == expected
-        # the integer exponents 0 to 14 are shared, and at 0 the coefficients
-        # 1 and -1 cancel: 30 + 20 - 15 - 1 terms
-        assert len(got[0].terms) == 34
+        # the integer exponents 0 to 12 are shared, and at 0 the coefficients
+        # 5 and -5 cancel: 30 + 20 - 13 - 1 terms
+        assert len(got[0].terms) == 36
 
     def test_count_plus_or_minus_zero_is_a_plain_count(self):
         count = gclang.eval_text("card(ap(1, 2))")
@@ -236,6 +291,14 @@ class TestMergedArithmetic:
         for value in (count + 0, count - 0, 0 + count, gclang.eval_text("card(ap(1, 2)) + 0"),
                       gclang.eval_text("card(ap(1, 2)) - 0")):
             assert type(value) is GrossPoly and value == G / 2
+
+    def test_count_times_one_is_a_plain_count(self):
+        count = gclang.eval_text("card(ap(1, 2))")
+        for value in (count * 1, 1 * count, count / 1, gclang.eval_text("card(ap(1, 2)) * 1")):
+            assert type(value) is GrossPoly and value == G / 2
+        plain = G / 2
+        assert gnum._pscale(plain, 1) is plain
+        assert gnum._pscale(plain, Fraction(2, 2)) is plain
 
     def test_merge_that_cancels_every_term_is_zero(self):
         x, _ = self.operands()
@@ -462,6 +525,41 @@ exponents = st.one_of(small_exps, nested_exps)
 polys = st.lists(st.tuples(coeffs, exponents), max_size=4).map(make_poly)
 # substitution needs integer exponents small enough to evaluate at L = 10**6
 flat_polys = st.lists(st.tuples(coeffs, small_exps), max_size=4).map(make_poly)
+
+
+# polynomials whose exponents are themselves polynomials, down to depth 5
+deep_polys = st.recursive(
+    st.sampled_from([ZERO, ONE, G]),
+    lambda inner: st.lists(st.tuples(coeffs, inner), max_size=3).map(make_poly),
+    max_leaves=8,
+)
+
+
+def scanned_depth(p: GrossPoly) -> int:
+    """The exponent depth of p, from the terms and not from stored depths."""
+    return 1 + max(scanned_depth(e) for _, e in p.terms) if p.terms else 0
+
+
+def assert_depth_exact(p: GrossPoly) -> None:
+    assert p._depth == scanned_depth(p)
+    for _, e in p.terms:
+        assert_depth_exact(e)
+
+
+@given(deep_polys, deep_polys, coeffs)
+@settings(max_examples=150)
+def test_stored_depth_is_exact(x, y, c):
+    results = [
+        add(x, y), sub(x, y), sub(add(x, y), y), add(x, neg(x)), neg(x),
+        mul(x, fin(c)), mul(fin(c), y), mul(x, ONE), mul(x, y),
+    ]
+    for divisor in (y, gterm(c, y.terms[0][1]) if y.terms else ONE):
+        try:
+            results.append(div_exact(x, divisor))
+        except (errors.NonExactDivision, errors.DivisionByZero):
+            pass
+    for value in (x, y, *results):
+        assert_depth_exact(value)
 
 
 @given(polys, polys)
