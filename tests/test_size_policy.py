@@ -19,107 +19,117 @@ def _run(line, capsys, point=None):
     return code, json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize(
-    "line, value",
-    [
-        ("2^(G + 500000) / 2^G == 2^500000", "true"),
-        ("2^500000 > 1", "true"),
-        ("numerals(2, crit(2, G) + 500000) > G", "true"),
-        ("3 * 2^(G + 1/500000) > 2^G", "true"),
-        ("2^(500000*G) > 3^G", "true"),
-        ("subst(2^G, 500000) > 1", "true"),
-        ("subst(G^100000, 1000) > 1", "true"),
-        ("card(ap(2000001, 2))", "G/2 - 1000000"),
-        ("card(N | ap(1, 999999))", "G"),
-        ("card(N \\ ap(1, 1000000))", "999999*G/1000000"),
-        ("card((N \\ ap(1, 17)) & (N \\ ap(1, 62501)))", "1000000*G/1062517"),
-        ("card(~ap(1, 1000001))", "1000000*G/1000001"),
-    ],
-)
+# one input at each guard's cap, and its value
+AT_CAP = [
+    ("2^(G + 500000) / 2^G == 2^500000", "true"),
+    ("2^500000 > 1", "true"),
+    ("numerals(2, crit(2, G) + 500000) > G", "true"),
+    ("3 * 2^(G + 1/500000) > 2^G", "true"),
+    ("2^(500000*G) > 3^G", "true"),
+    ("subst(2^G, 500000) > 1", "true"),
+    ("subst(G^100000, 1000) > 1", "true"),
+    ("card(ap(2000001, 2))", "G/2 - 1000000"),
+    ("card(N | ap(1, 999999))", "G"),
+    ("card(N \\ ap(1, 1000000))", "999999*G/1000000"),
+    ("card((N \\ ap(1, 17)) & (N \\ ap(1, 62501)))", "1000000*G/1062517"),
+    ("card(~ap(1, 1000001))", "1000000*G/1000001"),
+]
+
+
+@pytest.mark.parametrize("line, value", AT_CAP)
 def test_each_guard_passes_at_its_cap(line, value):
     assert gclang.render_value(gclang.eval_text(line)) == value
 
 
-@pytest.mark.parametrize(
-    "line, kind, detail",
-    [
-        ("2^(G + 500001) / 2^G", "ExponentTooLarge", "2^500001 will not be materialized"),
-        ("2^500001", "ExponentTooLarge", "2^500001 will not be materialized"),
-        ("(1/2)^500001", "ExponentTooLarge", "1/2^500001 will not be materialized"),
-        (
-            "numerals(2, crit(2, G) + 500001) > G",
-            "ExponentTooLarge",
-            "critical-length comparison exceeds the size guard",
-        ),
-        (
-            "3 * 2^(G + 1/500001) > 2^G",
-            "ExponentTooLarge",
-            "cross-power comparison exceeds the size guard",
-        ),
-        ("2^(500001*G) > 3^G", "ExponentTooLarge", "cross-power comparison exceeds the size guard"),
-        (
-            "subst(2^G, 500001)",
-            "ExponentTooLarge",
-            "2^500001 exceeds the 1000000-bit substitution guard",
-        ),
-        (
-            "subst(G^100001, 1000)",
-            "ExponentTooLarge",
-            "1000^100001 exceeds the 1000000-bit substitution guard",
-        ),
-        (
-            "ap(2000003, 2)",
-            "RepresentationLimit",
-            "elements ap(2000003, 2) skips below its start: 1000001 exceeds the cap of 1000000",
-        ),
-        (
-            "N | ap(1, 1000000)",
-            "RepresentationLimit",
-            "residue classes of the union at modulus 1000000: 1000001 exceeds the cap of 1000000",
-        ),
-        (
-            "N \\ ap(1, 1000001)",
-            "RepresentationLimit",
-            "residue classes of the difference at modulus 1000001: 1000001 exceeds the cap of "
-            "1000000",
-        ),
-        (
-            "(N \\ (ap(1, 103) | ap(2, 103))) & (N \\ ap(1, 9902))",
-            "RepresentationLimit",
-            "residue classes of the intersection at modulus 1019906: 1000001 exceeds the cap of "
-            "1000000",
-        ),
-        (
-            "~ap(1, 1000002)",
-            "RepresentationLimit",
-            "residue classes of the complement at modulus 1000002: 1000001 exceeds the cap of "
-            "1000000",
-        ),
-        ("members(ap(1, 2), 1000001)", "RepresentationLimit", "will not list 1000001 members"),
-        (
-            'pred(num(10, 1000002){head: "1"})',
-            "RepresentationLimit",
-            "the predecessor needs 1000001 explicit digits of 9",
-        ),
-        ("first(10, G, 1000001)", "RepresentationLimit", "will not enumerate 1000001 numerals"),
-        # past MAX_DIGITS the refused integers are written by their bit length
-        (
-            f"2^(G + {WIDE}) / 2^G",
-            "ExponentTooLarge",
-            "2^<28001-bit integer> will not be materialized",
-        ),
-        (
-            f"({WIDE})^(G + 100) / ({WIDE})^G",
-            "ExponentTooLarge",
-            "<28001-bit integer>^100 will not be materialized",
-        ),
-        (
-            f'pred(num(10, {WIDE}){{head: "1"}})',
-            "RepresentationLimit",
-            "the predecessor needs <28000-bit integer> explicit digits of 9",
-        ),
-    ],
-)
+# one input just past each guard's cap, and the error it ends in
+PAST_CAP = [
+    ("2^(G + 500001) / 2^G", "ExponentTooLarge", "2^500001 will not be materialized"),
+    ("2^500001", "ExponentTooLarge", "2^500001 will not be materialized"),
+    ("(1/2)^500001", "ExponentTooLarge", "1/2^500001 will not be materialized"),
+    (
+        "numerals(2, crit(2, G) + 500001) > G",
+        "ExponentTooLarge",
+        "critical-length comparison exceeds the size guard",
+    ),
+    (
+        "3 * 2^(G + 1/500001) > 2^G",
+        "ExponentTooLarge",
+        "cross-power comparison exceeds the size guard",
+    ),
+    ("2^(500001*G) > 3^G", "ExponentTooLarge", "cross-power comparison exceeds the size guard"),
+    (
+        "subst(2^G, 500001)",
+        "ExponentTooLarge",
+        "2^500001 exceeds the 1000000-bit substitution guard",
+    ),
+    (
+        "subst(G^100001, 1000)",
+        "ExponentTooLarge",
+        "1000^100001 exceeds the 1000000-bit substitution guard",
+    ),
+    (
+        "ap(2000003, 2)",
+        "RepresentationLimit",
+        "elements ap(2000003, 2) skips below its start: 1000001 exceeds the cap of 1000000",
+    ),
+    (
+        "N | ap(1, 1000000)",
+        "RepresentationLimit",
+        "residue classes of the union at modulus 1000000: 1000001 exceeds the cap of 1000000",
+    ),
+    (
+        "N \\ ap(1, 1000001)",
+        "RepresentationLimit",
+        "residue classes of the difference at modulus 1000001: 1000001 exceeds the cap of "
+        "1000000",
+    ),
+    (
+        "(N \\ (ap(1, 103) | ap(2, 103))) & (N \\ ap(1, 9902))",
+        "RepresentationLimit",
+        "residue classes of the intersection at modulus 1019906: 1000001 exceeds the cap of "
+        "1000000",
+    ),
+    (
+        "~ap(1, 1000002)",
+        "RepresentationLimit",
+        "residue classes of the complement at modulus 1000002: 1000001 exceeds the cap of "
+        "1000000",
+    ),
+    ("members(ap(1, 2), 1000001)", "RepresentationLimit", "will not list 1000001 members"),
+    (
+        'pred(num(10, 1000002){head: "1"})',
+        "RepresentationLimit",
+        "the predecessor needs 1000001 explicit digits of 9",
+    ),
+    ("first(10, G, 1000001)", "RepresentationLimit", "will not enumerate 1000001 numerals"),
+    ("(G + 1)^513", "ExponentTooLarge", "power 513 of G + 1 will not be unrolled"),
+    pytest.param(
+        "1" * 4301,
+        "RepresentationLimit",
+        "a literal has 4301 digits, more than 4300",
+        id="a-literal-of-4301-digits",
+    ),
+    ("2^20000", "RepresentationLimit", "an integer has more than 4300 digits"),
+    # past MAX_DIGITS the refused integers are written by their bit length
+    (
+        f"2^(G + {WIDE}) / 2^G",
+        "ExponentTooLarge",
+        "2^<28001-bit integer> will not be materialized",
+    ),
+    (
+        f"({WIDE})^(G + 100) / ({WIDE})^G",
+        "ExponentTooLarge",
+        "<28001-bit integer>^100 will not be materialized",
+    ),
+    (
+        f'pred(num(10, {WIDE}){{head: "1"}})',
+        "RepresentationLimit",
+        "the predecessor needs <28000-bit integer> explicit digits of 9",
+    ),
+]
+
+
+@pytest.mark.parametrize("line, kind, detail", PAST_CAP)
 def test_each_guard_refuses_one_past_its_cap(line, kind, detail, capsys):
     code, out = _run(line, capsys)
     assert code == cli.EXIT_EVAL
@@ -136,10 +146,15 @@ def test_guards_off_the_language_pass_at_the_cap_and_refuse_past_it():
     assert str(info.value) == "L=1000001 exceeds the cap of 1000000 points counted by brute force"
 
 
+# an oracle point past the brute-force cap: the value stands, the check is skipped
+PAST_CAP_POINT = ("card(N \\ {3})", 30_000_000)
+
+
 class TestOraclePointCap:
     def test_a_point_past_the_cap_is_skipped_at_once(self, capsys):
+        line, point = PAST_CAP_POINT
         start = time.perf_counter()
-        code, out = _run("card(N \\ {3})", capsys, point=30_000_000)
+        code, out = _run(line, capsys, point=point)
         assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_OK
         assert out["value"] == "G - 1"
