@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Optional
 
-from . import gclang, gnum, oracle
+from . import errors, gclang, gnum, oracle
 from .errors import GrossError, InvalidL, ParseError, RepresentationLimit, Undetermined
 from .gclang import MeasuredSet, SignedMeasured
 
@@ -119,9 +119,9 @@ def run_script(path: str, json_mode: bool, point: Optional[int]) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
-        print(f"cannot read {path}: {err}", file=sys.stderr)
-        return EXIT_EVAL
+    except (OSError, UnicodeDecodeError) as err:
+        err = errors.UnreadableScript(f"cannot read {path}: {err}")
+        return _fail(json_mode, err.kind, str(err), str(err), EXIT_EVAL)
     env = gclang.default_env()
     for line in lines:
         line = line.strip()

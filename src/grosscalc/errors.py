@@ -139,3 +139,7 @@ class EvalError(GrossError):
 
 class UnboundIdentifier(EvalError):
     pass
+
+
+class UnreadableScript(GrossError):
+    """A script given to ``gc run`` cannot be read as UTF-8 text."""

@@ -397,8 +397,7 @@ class _Parser:
 
 def _literal(text: str) -> Lit:
     # measured on the text, before int() has to read it
-    if len(text) > gnum.MAX_DIGITS:
-        raise RepresentationLimit(f"a literal has {len(text)} digits, more than {gnum.MAX_DIGITS}")
+    gnum.refuse(RepresentationLimit, len(text), "MAX_DIGITS", "digits of a literal")
     return Lit(int(text))
 
 

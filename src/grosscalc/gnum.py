@@ -43,7 +43,7 @@ a non-rational exponent add polynomials, and then one ``_canon`` takes
 every term.
 
 Exponential counts relate to one another through three rules, one function
-each, and each refuses with ExponentTooLarge a power it will not compute:
+each, and each refuses with ExponentTooLarge a power past its cap:
 
 * ``_cmp_sandwich`` orders a critical count against a polynomial or another
   critical count by bounding their difference through the sandwich; it
@@ -62,16 +62,17 @@ A numeral base is checked in one place, ``_check_base``.  A coefficient is
 written in one, ``_scaled``, and a sum of terms in one, ``_join_terms``,
 for polynomials, exponential counts and critical-length offsets alike.
 
-Guards on work too large to do, in every module, compare against
-``MAX_POWER_BITS`` or ``MAX_ITEMS`` read from here at call time, so one
-assignment moves them all, and raise through ``refuse``.
+Every guard on work too large to do, in every module, is one ``refuse``
+call with the size it measured and the name of a cap here, read at call
+time, so one assignment moves every guard on MAX_POWER_BITS or MAX_ITEMS.
+Each refusal has one shape: ``members listed: 1000001 past MAX_ITEMS = 1000000``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NoReturn, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
     DepthLimitExceeded,
@@ -101,7 +102,7 @@ MAX_POWER_BITS = 10 ** 6
 MAX_ITEMS = 10 ** 6
 
 # Powers of multi-term values are unrolled into at most this many products.
-_POW_UNROLL_LIMIT = 512
+MAX_UNROLL = 512
 
 # Integers are written as, or read from, at most this many decimal digits:
 # CPython 3.11's default int/str limit, fixed here rather than read from the
@@ -136,9 +137,15 @@ def too_long(n: int) -> bool:
 
 
 def check_digits(n: int, what: str = "an integer") -> int:
-    """n itself, or RepresentationLimit when |n| has more than MAX_DIGITS digits."""
+    """n itself, or RepresentationLimit when |n| has more than MAX_DIGITS
+    digits.  too_long reads the bit length alone; only a refusal counts the
+    digits, up from those of 2^(b-1) for b bits (a rational just below
+    log10(2) gives them), and its message names b too."""
     if too_long(n):
-        raise RepresentationLimit(f"{what} has more than {MAX_DIGITS} digits")
+        d = (n.bit_length() - 1) * 30102999566 // 10 ** 11 + 1
+        while abs(n) >= 10 ** d:
+            d += 1
+        refuse(RepresentationLimit, d, "MAX_DIGITS", "digits of {} of {} bits", what, n.bit_length())
     return n
 
 
@@ -165,10 +172,17 @@ def count_text(x: Union[GrossNumber, "CritRef"]) -> str:
         return f"<a count with a number past {MAX_DIGITS} digits>"
 
 
-def refuse(error: type, template: str, *numbers: Union[int, Fraction]) -> NoReturn:
-    """Raise error(template) with its {} filled by number_text of numbers;
-    a guard compares first, so text is built only on the way out."""
-    raise error(template.format(*map(number_text, numbers)))
+def refuse(error: type, size: int, cap: str, what: str, *parts) -> None:
+    """The one guard on sizes: return when size is at most the cap named cap,
+    read from this module at call time, else raise error(``what: size past
+    cap = value``) with the {} of what filled by parts, numbers through
+    number_text and counts through count_text, only on the way out."""
+    limit = globals()[cap]
+    if size <= limit:
+        return
+    texts = (p if isinstance(p, str) else number_text(p) if isinstance(p, (int, Fraction))
+             else count_text(p) for p in parts)
+    raise error(f"{what.format(*texts)}: {number_text(size)} past {cap} = {number_text(limit)}")
 
 
 def _exact(value) -> Union[int, Fraction]:
@@ -643,6 +657,14 @@ def classify(x: GrossNumber) -> Classification:
     return Classification.INFINITESIMAL
 
 
+def is_whole(x: GrossNumber) -> bool:
+    """A whole count: no term of a negative power of G, the last term being
+    the lowest, and an integral constant term; b^E + tail is read by its tail."""
+    p = x.tail if isinstance(x, ExpCount) else x
+    terms = p.terms
+    return not (terms and _cmp_poly(terms[-1][1], ZERO) < 0) and p.constant_term().denominator == 1
+
+
 # addition and subtraction
 
 
@@ -711,8 +733,9 @@ def _exponent_gap(x: ExpCount, y: ExpCount) -> Optional[int]:
         k = ex.offset - ey.offset
     else:
         return None
-    if k is not None and abs(k) * x.base.bit_length() > MAX_POWER_BITS:
-        refuse(ExponentTooLarge, "{}^{} will not be materialized", x.base, k)
+    if k is not None:
+        refuse(ExponentTooLarge, abs(k) * x.base.bit_length(), "MAX_POWER_BITS",
+               "bit bound of {}^{}", x.base, k)
     return k
 
 
@@ -818,7 +841,7 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     MAX_POWER_BITS, or an infinite one, which yields 0, 1 or the count
     ``b^k`` of an integer base b >= 2.  A pure power of G takes any exponent,
     since exponents multiply.  Any other base takes finite non-negative
-    integer exponents, unrolled into at most _POW_UNROLL_LIMIT products.
+    integer exponents, unrolled into at most MAX_UNROLL products.
     """
     k = _coerce(k)
     # a pure power of G (a nonzero exponent is truthy): exponents multiply
@@ -847,17 +870,14 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
             raise NonIntegerExponent("finite exponents must be integers")
         if r == 0 and n < 0:
             raise DivisionByZero("0 cannot be raised to a negative power")
-        if max(abs(r.numerator), r.denominator).bit_length() * abs(n) > MAX_POWER_BITS:
-            refuse(ExponentTooLarge, "{}^{} will not be materialized", r, n)
+        refuse(ExponentTooLarge, max(abs(r.numerator), r.denominator).bit_length() * abs(n),
+               "MAX_POWER_BITS", "bit bound of {}^{}", r, n)
         return fin(Fraction(r) ** n)
     if n is None or n < 0:
         raise UnsupportedPower(
             f"{count_text(x)} only takes finite non-negative integer powers"
         )
-    if n > _POW_UNROLL_LIMIT:
-        raise ExponentTooLarge(
-            f"power {number_text(n)} of {count_text(x)} will not be unrolled"
-        )
+    refuse(ExponentTooLarge, n, "MAX_UNROLL", "products in a power of {}", x)
     out = ONE
     for _ in range(n):
         out = mul(out, x)
@@ -913,8 +933,8 @@ def _cmp_sandwich(x: ExpCount, y: GrossNumber) -> int:
             rest = _psub(rest, z)
             continue
         ref = z.exponent
-        if abs(ref.offset) * ref.base.bit_length() > MAX_POWER_BITS:
-            refuse(ExponentTooLarge, "critical-length comparison exceeds the size guard")
+        refuse(ExponentTooLarge, abs(ref.offset) * ref.base.bit_length(), "MAX_POWER_BITS",
+               "bit bound of {}^{} in a critical-length comparison", ref.base, ref.offset)
         key = (ref.base, ref.target)
         coeffs[key] = coeffs.get(key, 0) + sign_ * z.multiplier * Fraction(ref.base) ** ref.offset
         rest = _padd(rest, _pscale(z.tail, sign_))
@@ -966,8 +986,8 @@ def _cmp_scaled_power(
     p = f.numerator
     r1, r2 = Fraction(r1), Fraction(r2)
     width = max(max(abs(r.numerator), r.denominator).bit_length() for r in (r1, r2))
-    if max(abs(p) * max(b1, b2).bit_length(), q * width) > MAX_POWER_BITS:
-        refuse(ExponentTooLarge, "cross-power comparison exceeds the size guard")
+    refuse(ExponentTooLarge, max(abs(p) * max(b1, b2).bit_length(), q * width), "MAX_POWER_BITS",
+           "bit bound of a cross-power comparison at exponent {}", f)
     lhs = r1 ** q * Fraction(b1) ** p
     rhs = r2 ** q * Fraction(b2) ** p
     return _sign(lhs - rhs)

@@ -28,6 +28,7 @@ from .gnum import (
     classify,
     count_text,
     fin,
+    is_whole,
     render_gross,
 )
 
@@ -87,12 +88,9 @@ def _as_count(v) -> GrossNumber:
     """Validate that v is a usable count: a non-negative whole gross-number."""
     if isinstance(v, (int, Fraction)):
         v = fin(v)
-    kind = classify(v)
-    if kind in (Classification.FINITE_NEGATIVE, Classification.INFINITE_NEGATIVE):
+    if classify(v) in (Classification.FINITE_NEGATIVE, Classification.INFINITE_NEGATIVE):
         raise NegativeCount(f"{count_text(v)} is not a count")
-    if kind is Classification.INFINITESIMAL:
-        raise NonIntegralCount(f"{count_text(v)} is not a whole count")
-    if kind is Classification.FINITE_POSITIVE and v.as_int() is None:
+    if not is_whole(v):
         raise NonIntegralCount(f"{count_text(v)} is not a whole count")
     return v
 

@@ -50,9 +50,6 @@ from .setmeasure import (
     largest_exception,
 )
 
-# a substitution computes at most gnum.MAX_POWER_BITS bits of each power
-_POWER_REFUSAL = "{}^{} exceeds the {}-bit substitution guard"
-
 # admissible_points offers these multiples of the smallest admissible point.
 POINT_MULTIPLIERS = (1, 2, 3)
 
@@ -101,8 +98,8 @@ def subst(x: Union[GrossNumber, CritRef], L: int) -> Fraction:
             raise NegativeExponent(
                 f"exponent of {count_text(x)} substitutes to negative {gnum.number_text(k)}"
             )
-        if k * x.base.bit_length() > gnum.MAX_POWER_BITS:
-            gnum.refuse(ExponentTooLarge, _POWER_REFUSAL, x.base, k, gnum.MAX_POWER_BITS)
+        gnum.refuse(ExponentTooLarge, k * x.base.bit_length(), "MAX_POWER_BITS",
+                    "bit bound of {}^{} in a substitution", x.base, k)
         return Fraction(x.multiplier * x.base ** k + _subst_poly(x.tail, L))
     if isinstance(x, CritRef):
         return Fraction(_subst_critref(x, L))
@@ -129,8 +126,8 @@ def _subst_poly(p: GrossPoly, L: int) -> Union[int, Fraction]:
                 f"exponent {count_text(exp)} substitutes to {gnum.number_text(e)}"
             )
         e = int(e)
-        if abs(e) * L.bit_length() > gnum.MAX_POWER_BITS:
-            gnum.refuse(ExponentTooLarge, _POWER_REFUSAL, L, abs(e), gnum.MAX_POWER_BITS)
+        gnum.refuse(ExponentTooLarge, abs(e) * L.bit_length(), "MAX_POWER_BITS",
+                    "bit bound of {}^{} in a substitution", L, abs(e))
         total += coeff * (L ** e if e >= 0 else Fraction(1, L ** -e))
     return total
 
@@ -157,9 +154,7 @@ def _check_brute_point(L: int) -> None:
     """Refuse L outside 1..gnum.MAX_ITEMS, the points brute force can count."""
     if L < 1:
         raise InvalidL(f"L={L} is not a positive integer")
-    if L > gnum.MAX_ITEMS:
-        gnum.refuse(InvalidL, "L={} exceeds the cap of {} points counted by brute force",
-                    L, gnum.MAX_ITEMS)
+    gnum.refuse(InvalidL, L, "MAX_ITEMS", "brute-force point L")
 
 
 def brute_count(expr: Union[SetExpr, SignedSet], L: int) -> int:

@@ -232,7 +232,7 @@ def critical(base: int, target) -> CriticalPair:
         )
     if not isinstance(target, GrossPoly) or classify(target) is not Classification.INFINITE_POSITIVE:
         raise NotInfinite(f"critical lengths need an infinite target, got {count_text(target)}")
-    if target.constant_term().denominator != 1:
+    if not gnum.is_whole(target):
         raise EvalError(f"the target count must be a whole number, got {count_text(target)}")
     return CriticalPair(base, target)
 
@@ -302,10 +302,8 @@ def _step(x: InfNumeral, delta: int) -> InfNumeral:
         raise Underflow(
             "the predecessor would need infinitely many trailing nonzero digits"
         )
-    if gap > gnum.MAX_ITEMS:
-        gnum.refuse(
-            RepresentationLimit, "the predecessor needs {} explicit digits of {}", gap, b - 1
-        )
+    gnum.refuse(RepresentationLimit, gap, "MAX_ITEMS",
+                "digits {} written out by the predecessor", b - 1)
     return numeral(b, x.length, head, (wrapped,) * (gap + len(x.tail)), x.sign)
 
 
@@ -328,8 +326,7 @@ def enumerate_first(base: int, length, n: int):
     """The n smallest numerals of the system, in increasing order."""
     if not isinstance(n, int) or n < 1:
         raise EvalError(f"need a positive number of numerals, got {n!r}")
-    if n > gnum.MAX_ITEMS:
-        gnum.refuse(RepresentationLimit, "will not enumerate {} numerals", n)
+    gnum.refuse(RepresentationLimit, n, "MAX_ITEMS", "numerals enumerated")
     out = [zeros(base, length)]
     for _ in range(n - 1):
         out.append(successor(out[-1]))
@@ -341,8 +338,8 @@ def enumerate_all(base: int, length: int):
     past gnum.MAX_ITEMS, or too large to compute, is refused."""
     if not isinstance(length, int) or length < 1:
         raise EvalError(f"exhaustive enumeration needs a finite length, got {length!r}")
-    if length * base.bit_length() > gnum.MAX_POWER_BITS:
-        gnum.refuse(RepresentationLimit, "will not enumerate {}^{} numerals", base, length)
+    gnum.refuse(RepresentationLimit, length * base.bit_length(), "MAX_POWER_BITS",
+                "bit bound of the numeral count {}^{}", base, length)
     return enumerate_first(base, length, base ** length)
 
 

@@ -25,12 +25,10 @@ and a floor below which its classes hold no member, so a complement flips a
 flag and a far progression lists no holes.  By De Morgan every combination
 is an intersection of stored sides: classes pair by the Chinese remainder
 theorem, or the sparser sides are lifted to the lcm, and the minimal period
-is found by stripping primes of gcd(modulus, |classes|).  Each size cap is
-still checked against the expanded record, counted from the description
-before any work: any record that would hold more than gnum.MAX_ITEMS
-residue classes, and any progression that would skip more than
-gnum.MAX_ITEMS elements below its start, raises RepresentationLimit before
-it is built.
+is found by stripping primes of gcd(modulus, |classes|).  The size cap is
+still checked on the expanded record, counted from the description: a record
+past gnum.MAX_ITEMS residue classes, or a progression skipping more elements
+below its start, is refused through gnum.refuse before it is built.
 """
 from __future__ import annotations
 
@@ -43,7 +41,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, NamedTuple, NoReturn, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, NamedTuple, Tuple, Union
 
 from . import gnum
 from .errors import EvalError, RepresentationLimit
@@ -322,9 +320,8 @@ def progression(first: int, step: int) -> NatSubset:
     if not isinstance(step, int) or step < 1:
         raise EvalError(f"progression steps are positive integers, got {step!r}")
     skipped = (first - 1) // step
-    if skipped > gnum.MAX_ITEMS:
-        gnum.refuse(RepresentationLimit, "elements ap({}, {}) skips below its start: "
-                    "{} exceeds the cap of {}", first, step, skipped, gnum.MAX_ITEMS)
+    gnum.refuse(RepresentationLimit, skipped, "MAX_ITEMS",
+                "elements ap({}, {}) skips below its start", first, step)
     # one residue has no shorter period, and nothing below first is a member
     return _record(step, frozenset((first % step,)), False, 1 + skipped * step,
                    frozenset(), frozenset())
@@ -346,9 +343,8 @@ def combine(op: SetOp, s: NatSubset, t: NatSubset) -> NatSubset:
     lift = math.lcm(ms, mt)
     # the member sides list at most 2 * lift classes, an intersection at most lift
     if 2 * lift > gnum.MAX_ITEMS:
-        size = _listed_size(op, s, t, lift)
-        if size > gnum.MAX_ITEMS:
-            _refuse_classes(_RESULT_NAMES[op], lift, size)
+        gnum.refuse(RepresentationLimit, _listed_size(op, s, t, lift), "MAX_ITEMS",
+                    "residue classes of S {} T at modulus {}", op.value, lift)
     classes, complemented = _meet_sides(op, s, t, lift)
     candidates = s.added | s.holes | t.added | t.holes
     floor = 1
@@ -433,15 +429,6 @@ def _listed_size(op: SetOp, s: NatSubset, t: NatSubset, lift: int) -> int:
     return g * bs * bt + bs * st * len(t.classes) + bt * ss * len(s.classes) + ss * st * cross
 
 
-_RESULT_NAMES = {SetOp.UNION: "union", SetOp.INTERSECT: "intersection",
-                 SetOp.DIFFERENCE: "difference"}
-
-
-def _refuse_classes(what: str, modulus: int, size: int) -> NoReturn:
-    gnum.refuse(RepresentationLimit, f"residue classes of the {what} at modulus {{}}: "
-                "{} exceeds the cap of {}", modulus, size, gnum.MAX_ITEMS)
-
-
 def _lift(residues: FrozenSet[int], modulus: int, lift: int) -> AbstractSet[int]:
     """The classes r mod modulus as classes mod lift (a multiple of it)."""
     if modulus == lift:
@@ -470,9 +457,8 @@ def complement(s: NatSubset) -> NatSubset:
     """The complement within the naturals {1..G}: it keeps the period and the
     stored classes of s, flips the flag and swaps the exceptions, in
     O(|exceptions|).  The elements below s's floor become added elements."""
-    size = s.modulus - s.class_count
-    if size > gnum.MAX_ITEMS:
-        _refuse_classes("complement", s.modulus, size)
+    gnum.refuse(RepresentationLimit, s.modulus - s.class_count, "MAX_ITEMS",
+                "residue classes of ~S at modulus {}", s.modulus)
     removed = s.holes
     if s.floor > 1:
         removed = removed.union(_between(s.modulus, s.classes, s.complemented, 1, s.floor))
@@ -514,8 +500,7 @@ def members(s: NatSubset, n: int) -> Tuple[int, ...]:
     """The n smallest members, ascending; fewer if the set runs out."""
     if n <= 0:
         return ()
-    if n > gnum.MAX_ITEMS:
-        gnum.refuse(RepresentationLimit, "will not list {} members", n)
+    gnum.refuse(RepresentationLimit, n, "MAX_ITEMS", "members listed")
     periodic = (x for x in _walk(s.modulus, s.classes, s.complemented, s.floor)
                 if x not in s.holes)
     return tuple(itertools.islice(heapq.merge(periodic, sorted(s.added)), n))

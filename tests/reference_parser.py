@@ -168,7 +168,7 @@ class _Parser:
         if t.kind == "INT":
             if len(t.text) > gnum.MAX_DIGITS:
                 raise RepresentationLimit(
-                    f"a literal has {len(t.text)} digits, more than {gnum.MAX_DIGITS}"
+                    f"digits of a literal: {len(t.text)} past MAX_DIGITS = {gnum.MAX_DIGITS}"
                 )
             return Lit(int(t.text))
         if t.kind == "IDENT":

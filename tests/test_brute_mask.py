@@ -127,7 +127,7 @@ class TestPointCap:
     def test_a_point_past_the_cap_is_refused_before_any_mask(self, tree):
         with pytest.raises(errors.InvalidL) as info:
             brute_count(tree, gnum.MAX_ITEMS + 1)
-        assert str(info.value) == "L=1000001 exceeds the cap of 1000000 points counted by brute force"
+        assert str(info.value) == "brute-force point L: 1000001 past MAX_ITEMS = 1000000"
 
     @pytest.mark.parametrize("L", [0, -1, -2])
     def test_a_point_below_one_is_refused(self, L):

@@ -113,6 +113,28 @@ class TestRun:
         r = gc("run", str(tmp_path / "absent.gc"))
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("name", ["absent.gc", "."])
+    def test_a_path_that_cannot_be_read_is_one_json_error(self, tmp_path, capsys, name):
+        path = str(tmp_path / name)
+        assert cli.main(["run", path, "--json"]) == cli.EXIT_EVAL
+        out = capsys.readouterr()
+        error = json.loads(out.out)["error"]
+        assert error["kind"] == "UnreadableScript"
+        assert error["detail"].startswith(f"cannot read {path}: ")
+        assert out.err == ""
+
+    def test_bytes_that_are_not_utf8_are_one_typed_error(self, tmp_path, capsys):
+        script = tmp_path / "bytes.gc"
+        script.write_bytes(b"1 + 1\n\xff\n")
+        assert cli.main(["run", str(script), "--json"]) == cli.EXIT_EVAL
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "UnreadableScript"
+        assert "can't decode byte 0xff" in error["detail"]
+        # text mode keeps its one line on stderr
+        assert cli.main(["run", str(script)]) == cli.EXIT_EVAL
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"cannot read {script}: ")
+
     def test_json_lines(self, tmp_path):
         script = tmp_path / "two.gc"
         script.write_text("1+1\ncard(Z)\n", encoding="utf-8")

@@ -5,6 +5,8 @@
 * ExpCount equality and hash are the dataclass's, over its four fields.
 * One base check serves CritRef, ExpCount and pow_count.
 * One coefficient writer serves polynomial terms and exponential counts.
+* One wholeness rule, ``gnum.is_whole``, serves observed counts and the
+  targets of critical lengths.
 """
 from fractions import Fraction
 
@@ -36,8 +38,8 @@ def reference_cmp_log_leading(c1: Fraction, b1: int, c2: Fraction, b2: int) -> i
     """Sign of c1*ln(b1) - c2*ln(b2) for positive rationals via integer powers."""
     e1 = c1.numerator * c2.denominator
     e2 = c2.numerator * c1.denominator
-    if max(e1, e2) * max(b1, b2).bit_length() > gnum.MAX_POWER_BITS:
-        gnum.refuse(errors.ExponentTooLarge, "cross-power comparison exceeds the size guard")
+    gnum.refuse(errors.ExponentTooLarge, max(e1, e2) * max(b1, b2).bit_length(), "MAX_POWER_BITS",
+                "bit bound of a cross-power comparison at exponent {}", c1 / c2)
     return _sign(b1 ** e1 - b2 ** e2)
 
 
@@ -146,3 +148,43 @@ def test_critical_length_only_exponentiates_its_own_base():
 def test_one_coefficient_writer(value, text):
     assert render_gross(value) == text
     assert gclang.eval_text(text) == value
+
+
+@pytest.mark.parametrize(
+    "text, whole",
+    [
+        ("G + 1/2", False),
+        ("G + G^(-1)", False),
+        ("G - G^(-2)", False),
+        ("3*G/2 + 7/3", False),
+        ("G/2 + 1", True),
+        ("3*G^2 - G/2 + 7", True),
+        ("G^(1/2) + 1", True),
+        ("G^(G/2 - 1) + G", True),
+    ],
+)
+def test_one_whole_count_rule_for_observers_and_critical_lengths(text, whole):
+    value = gclang.eval_text(text)
+    assert gnum.is_whole(value) is whole
+    for line, refusal in (
+        (f"observe(grossone, {text})", errors.NonIntegralCount),
+        (f"critical(10, {text})", errors.EvalError),
+    ):
+        if whole:
+            gclang.eval_text(line)
+        else:
+            with pytest.raises(refusal, match="whole"):
+                gclang.eval_text(line)
+
+
+@pytest.mark.parametrize(
+    "text, whole", [("0", True), ("7", True), ("1/2", False), ("G^(-1)", False),
+                    ("2^G + 1", True), ("2^G + 1/2", False), ("2^G - G^(-1)", False)]
+)
+def test_finite_infinitesimal_and_exponential_counts_follow_the_same_rule(text, whole):
+    assert gnum.is_whole(gclang.eval_text(text)) is whole
+    if whole:
+        gclang.eval_text(f"observe(grossone, {text})")
+    else:
+        with pytest.raises(errors.NonIntegralCount):
+            gclang.eval_text(f"observe(grossone, {text})")

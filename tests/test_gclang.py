@@ -604,7 +604,7 @@ class TestErrorPositions:
         text = template.format("7" * 4301)
         got = _parsed_or_error(parse, text)
         assert got == _parsed_or_error(reference_parser.parse, text)
-        assert got[:2] == ("RepresentationLimit", "a literal has 4301 digits, more than 4300")
+        assert got[:2] == ("RepresentationLimit", "digits of a literal: 4301 past MAX_DIGITS = 4300")
         assert parse(template.format("7" * 4300)) == reference_parser.parse(template.format("7" * 4300))
 
 

@@ -170,4 +170,4 @@ class TestOversizedIntegersInMessages:
     def test_in_range_messages_are_unchanged(self, capsys):
         cli.run_line("2^(G + 1000000000) / 2^G", gclang.default_env(), True, None)
         detail = json.loads(capsys.readouterr().out)["error"]["detail"]
-        assert detail == "2^1000000000 will not be materialized"
+        assert detail == "bit bound of 2^1000000000: 2000000000 past MAX_POWER_BITS = 1000000"

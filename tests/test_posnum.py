@@ -406,10 +406,8 @@ def reference_predecessor(x: InfNumeral) -> InfNumeral:
         raise errors.Underflow(
             "the predecessor would need infinitely many trailing nonzero digits"
         )
-    if gap > gnum.MAX_ITEMS:
-        gnum.refuse(
-            errors.RepresentationLimit, "the predecessor needs {} explicit digits of {}", gap, b - 1
-        )
+    gnum.refuse(errors.RepresentationLimit, gap, "MAX_ITEMS",
+                "digits {} written out by the predecessor", b - 1)
     head = x.head[:-1] + (x.head[-1] - 1,)
     return numeral(b, x.length, head, (b - 1,) * gap, x.sign)
 

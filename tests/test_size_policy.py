@@ -1,9 +1,13 @@
 """The size policy: gnum.MAX_POWER_BITS bounds every exact power computed,
-gnum.MAX_ITEMS everything listed, lifted, skipped or expanded one by one, and
-every guard refuses through gnum.refuse, so a message names any integer,
-however long.  Each guard passes at its cap and refuses one past it."""
+gnum.MAX_ITEMS everything listed, lifted, skipped or expanded one by one,
+gnum.MAX_DIGITS every integer written or read and gnum.MAX_UNROLL the
+products of a power.  Every guard is one gnum.refuse call, so each refusal
+has one shape, ``what: size past CAP = value``, that names the cap it hit
+and any integer however long.  Each guard passes at its cap and refuses one
+past it, and lowering a cap in gnum moves every guard and message on it."""
 
 import json
+import re
 import time
 
 import pytest
@@ -43,88 +47,112 @@ def test_each_guard_passes_at_its_cap(line, value):
 
 # one input just past each guard's cap, and the error it ends in
 PAST_CAP = [
-    ("2^(G + 500001) / 2^G", "ExponentTooLarge", "2^500001 will not be materialized"),
-    ("2^500001", "ExponentTooLarge", "2^500001 will not be materialized"),
-    ("(1/2)^500001", "ExponentTooLarge", "1/2^500001 will not be materialized"),
+    (
+        "2^(G + 500001) / 2^G",
+        "ExponentTooLarge",
+        "bit bound of 2^500001: 1000002 past MAX_POWER_BITS = 1000000",
+    ),
+    ("2^500001", "ExponentTooLarge", "bit bound of 2^500001: 1000002 past MAX_POWER_BITS = 1000000"),
+    (
+        "(1/2)^500001",
+        "ExponentTooLarge",
+        "bit bound of 1/2^500001: 1000002 past MAX_POWER_BITS = 1000000",
+    ),
     (
         "numerals(2, crit(2, G) + 500001) > G",
         "ExponentTooLarge",
-        "critical-length comparison exceeds the size guard",
+        "bit bound of 2^500001 in a critical-length comparison: 1000002 past MAX_POWER_BITS = "
+        "1000000",
     ),
     (
         "3 * 2^(G + 1/500001) > 2^G",
         "ExponentTooLarge",
-        "cross-power comparison exceeds the size guard",
+        "bit bound of a cross-power comparison at exponent 1/500001: 1000002 past MAX_POWER_BITS = "
+        "1000000",
     ),
-    ("2^(500001*G) > 3^G", "ExponentTooLarge", "cross-power comparison exceeds the size guard"),
+    (
+        "2^(500001*G) > 3^G",
+        "ExponentTooLarge",
+        "bit bound of a cross-power comparison at exponent 500001: 1000002 past MAX_POWER_BITS = "
+        "1000000",
+    ),
     (
         "subst(2^G, 500001)",
         "ExponentTooLarge",
-        "2^500001 exceeds the 1000000-bit substitution guard",
+        "bit bound of 2^500001 in a substitution: 1000002 past MAX_POWER_BITS = 1000000",
     ),
     (
         "subst(G^100001, 1000)",
         "ExponentTooLarge",
-        "1000^100001 exceeds the 1000000-bit substitution guard",
+        "bit bound of 1000^100001 in a substitution: 1000010 past MAX_POWER_BITS = 1000000",
     ),
     (
         "ap(2000003, 2)",
         "RepresentationLimit",
-        "elements ap(2000003, 2) skips below its start: 1000001 exceeds the cap of 1000000",
+        "elements ap(2000003, 2) skips below its start: 1000001 past MAX_ITEMS = 1000000",
     ),
     (
         "N | ap(1, 1000000)",
         "RepresentationLimit",
-        "residue classes of the union at modulus 1000000: 1000001 exceeds the cap of 1000000",
+        "residue classes of S | T at modulus 1000000: 1000001 past MAX_ITEMS = 1000000",
     ),
     (
         "N \\ ap(1, 1000001)",
         "RepresentationLimit",
-        "residue classes of the difference at modulus 1000001: 1000001 exceeds the cap of "
-        "1000000",
+        "residue classes of S \\ T at modulus 1000001: 1000001 past MAX_ITEMS = 1000000",
     ),
     (
         "(N \\ (ap(1, 103) | ap(2, 103))) & (N \\ ap(1, 9902))",
         "RepresentationLimit",
-        "residue classes of the intersection at modulus 1019906: 1000001 exceeds the cap of "
-        "1000000",
+        "residue classes of S & T at modulus 1019906: 1000001 past MAX_ITEMS = 1000000",
     ),
     (
         "~ap(1, 1000002)",
         "RepresentationLimit",
-        "residue classes of the complement at modulus 1000002: 1000001 exceeds the cap of "
-        "1000000",
+        "residue classes of ~S at modulus 1000002: 1000001 past MAX_ITEMS = 1000000",
     ),
-    ("members(ap(1, 2), 1000001)", "RepresentationLimit", "will not list 1000001 members"),
+    (
+        "members(ap(1, 2), 1000001)",
+        "RepresentationLimit",
+        "members listed: 1000001 past MAX_ITEMS = 1000000",
+    ),
     (
         'pred(num(10, 1000002){head: "1"})',
         "RepresentationLimit",
-        "the predecessor needs 1000001 explicit digits of 9",
+        "digits 9 written out by the predecessor: 1000001 past MAX_ITEMS = 1000000",
     ),
-    ("first(10, G, 1000001)", "RepresentationLimit", "will not enumerate 1000001 numerals"),
-    ("(G + 1)^513", "ExponentTooLarge", "power 513 of G + 1 will not be unrolled"),
+    (
+        "first(10, G, 1000001)",
+        "RepresentationLimit",
+        "numerals enumerated: 1000001 past MAX_ITEMS = 1000000",
+    ),
+    ("(G + 1)^513", "ExponentTooLarge", "products in a power of G + 1: 513 past MAX_UNROLL = 512"),
     pytest.param(
         "1" * 4301,
         "RepresentationLimit",
-        "a literal has 4301 digits, more than 4300",
+        "digits of a literal: 4301 past MAX_DIGITS = 4300",
         id="a-literal-of-4301-digits",
     ),
-    ("2^20000", "RepresentationLimit", "an integer has more than 4300 digits"),
+    (
+        "2^20000",
+        "RepresentationLimit",
+        "digits of an integer of 20001 bits: 6021 past MAX_DIGITS = 4300",
+    ),
     # past MAX_DIGITS the refused integers are written by their bit length
     (
         f"2^(G + {WIDE}) / 2^G",
         "ExponentTooLarge",
-        "2^<28001-bit integer> will not be materialized",
+        "bit bound of 2^<28001-bit integer>: <28002-bit integer> past MAX_POWER_BITS = 1000000",
     ),
     (
         f"({WIDE})^(G + 100) / ({WIDE})^G",
         "ExponentTooLarge",
-        "<28001-bit integer>^100 will not be materialized",
+        "bit bound of <28001-bit integer>^100: 2800100 past MAX_POWER_BITS = 1000000",
     ),
     (
         f'pred(num(10, {WIDE}){{head: "1"}})',
         "RepresentationLimit",
-        "the predecessor needs <28000-bit integer> explicit digits of 9",
+        "digits 9 written out by the predecessor: <28000-bit integer> past MAX_ITEMS = 1000000",
     ),
 ]
 
@@ -136,6 +164,21 @@ def test_each_guard_refuses_one_past_its_cap(line, kind, detail, capsys):
     assert out["error"] == {"kind": kind, "detail": detail}
 
 
+# what was measured, the size, and the cap by name and value
+SHAPE = re.compile(
+    r"[^:]+: (\d+|<\d+-bit integer>) past (MAX_ITEMS|MAX_POWER_BITS|MAX_DIGITS|MAX_UNROLL) = \d+"
+)
+
+
+def test_every_refusal_past_a_cap_has_one_shape(capsys):
+    details = [getattr(row, "values", row)[2] for row in PAST_CAP]
+    line, point = PAST_CAP_POINT
+    _, out = _run(line, capsys, point=point)
+    details.append(out["oracle"].removeprefix("skipped: "))
+    for detail in details:
+        assert SHAPE.fullmatch(detail), detail
+
+
 def test_guards_off_the_language_pass_at_the_cap_and_refuse_past_it():
     # a borrow across exactly MAX_ITEMS implicit zeros is written out
     below = posnum.predecessor(posnum.numeral(10, gnum.MAX_ITEMS + 1, head=(1,)))
@@ -143,7 +186,7 @@ def test_guards_off_the_language_pass_at_the_cap_and_refuse_past_it():
     assert oracle.check_card(UniverseNE(), gnum.MAX_ITEMS).match
     with pytest.raises(errors.InvalidL) as info:
         oracle.check_card(UniverseNE(), gnum.MAX_ITEMS + 1)
-    assert str(info.value) == "L=1000001 exceeds the cap of 1000000 points counted by brute force"
+    assert str(info.value) == "brute-force point L: 1000001 past MAX_ITEMS = 1000000"
 
 
 # an oracle point past the brute-force cap: the value stands, the check is skipped
@@ -158,7 +201,7 @@ class TestOraclePointCap:
         assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_OK
         assert out["value"] == "G - 1"
-        assert out["oracle"].startswith("skipped: L=30000000 exceeds the cap of 1000000")
+        assert out["oracle"] == "skipped: brute-force point L: 30000000 past MAX_ITEMS = 1000000"
 
     def test_a_point_at_the_cap_is_counted(self, capsys):
         _, out = _run("card(N \\ {3})", capsys, point=gnum.MAX_ITEMS)
@@ -174,10 +217,10 @@ class TestEnumerateAll:
     def test_a_count_of_at_most_max_digits_is_named(self):
         with pytest.raises(errors.RepresentationLimit) as info:
             posnum.enumerate_all(2, 21)
-        assert str(info.value) == "will not enumerate 2097152 numerals"
+        assert str(info.value) == "numerals enumerated: 2097152 past MAX_ITEMS = 1000000"
         with pytest.raises(errors.RepresentationLimit) as info:
             posnum.enumerate_all(10, 4299)
-        assert str(info.value) == f"will not enumerate {10 ** 4299} numerals"
+        assert str(info.value) == f"numerals enumerated: {10 ** 4299} past MAX_ITEMS = 1000000"
 
     @pytest.mark.parametrize("base, length", [(10, 5000), (2, 10 ** 8), (10 ** 30, 10 ** 7)])
     def test_any_length_is_refused_typed_and_fast(self, base, length):
@@ -229,14 +272,14 @@ class TestOneValueDrivesEverySite:
     )
     def test_items(self, few_items, at_cap, past_cap):
         at_cap()
-        with pytest.raises(errors.RepresentationLimit):
+        with pytest.raises(errors.RepresentationLimit, match=r"past MAX_ITEMS = 10$"):
             past_cap()
 
     def test_items_in_long_numerals(self, few_items):
         # a borrow writes out the implicit zeros, which the default cap would
         # allow; blocks given past the middle are re-split from their own
         # digits, so comparing them writes out nothing and answers
-        with pytest.raises(errors.RepresentationLimit):
+        with pytest.raises(errors.RepresentationLimit, match=r": 19999 past MAX_ITEMS = 10$"):
             posnum.predecessor(posnum.numeral(10, 20000, head=(1,)))
         x = posnum.numeral(10, 20000, head=(1,) * 15000)
         y = posnum.numeral(10, 20000, tail=(1,) * 15000)
@@ -244,7 +287,7 @@ class TestOneValueDrivesEverySite:
 
     def test_oracle_points(self, few_items):
         assert oracle.check_card(UniverseNE(), 10).match
-        with pytest.raises(errors.InvalidL):
+        with pytest.raises(errors.InvalidL, match=r"^brute-force point L: 11 past MAX_ITEMS = 10$"):
             oracle.check_card(UniverseNE(), 11)
 
     @pytest.mark.parametrize(
@@ -262,10 +305,10 @@ class TestOneValueDrivesEverySite:
     )
     def test_power_bits(self, few_bits, at_cap, past_cap):
         assert gclang.eval_text(at_cap) is True
-        with pytest.raises(errors.ExponentTooLarge):
+        with pytest.raises(errors.ExponentTooLarge, match=r"past MAX_POWER_BITS = 64$"):
             gclang.eval_text(past_cap)
 
     def test_power_bits_bound_exhaustive_enumeration(self, few_bits):
         with pytest.raises(errors.RepresentationLimit) as info:
             posnum.enumerate_all(2, 33)
-        assert str(info.value) == "will not enumerate 2^33 numerals"
+        assert str(info.value) == "bit bound of the numeral count 2^33: 66 past MAX_POWER_BITS = 64"

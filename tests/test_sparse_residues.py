@@ -208,7 +208,7 @@ class TestDescriptionCost:
         with pytest.raises(errors.RepresentationLimit) as info:
             eval_text("~ap(1, 600000) | ~ap(2, 600000)")
         assert str(info.value) == (
-            "residue classes of the union at modulus 600000: 1199998 exceeds the cap of 1000000"
+            "residue classes of S | T at modulus 600000: 1199998 past MAX_ITEMS = 1000000"
         )
 
     def test_cost_follows_the_description(self):
@@ -386,24 +386,24 @@ def refusal(build):
 
 
 def cap_text(what, modulus, size):
-    return f"residue classes of the {what} at modulus {modulus}: {size} exceeds the cap of 1000000"
+    return f"residue classes of {what} at modulus {modulus}: {size} past MAX_ITEMS = 1000000"
 
 
 class TestSizeGuards:
     def test_four_prime_union(self):
         assert refusal(lambda: eval_text("ap(1,97) | ap(1,101) | ap(1,103) | ap(1,107)")) == (
-            cap_text("union", 107972737, 4207428)
+            cap_text("S | T", 107972737, 4207428)
         )
 
     def test_union_counts_the_classes_of_both_sides(self):
         # 2 classes of the lcm from the left, 1000003 from the right
         assert refusal(lambda: eval_text("ap(1, 1000003) | ap(2, 2)")) == (
-            cap_text("union", 2000006, 1000005)
+            cap_text("S | T", 2000006, 1000005)
         )
 
     def test_far_start(self):
         assert refusal(lambda: eval_text("ap(10^7, 2)")) == (
-            "elements ap(10000000, 2) skips below its start: 4999999 exceeds the cap of 1000000"
+            "elements ap(10000000, 2) skips below its start: 4999999 past MAX_ITEMS = 1000000"
         )
 
     def test_far_start_at_the_cap(self):
@@ -414,7 +414,7 @@ class TestSizeGuards:
     def test_large_intersection(self):
         # 1008 * 1012 classes of the lcm survive
         assert refusal(lambda: eval_text("(N \\ ap(1,1009)) & (N \\ ap(1,1013))")) == (
-            cap_text("intersection", 1022117, 1020096)
+            cap_text("S & T", 1022117, 1020096)
         )
 
     def test_large_member_side_intersection(self):
@@ -422,22 +422,22 @@ class TestSizeGuards:
         # their CRT pairs number 1001 * 1005
         s, t = nat_subset(2003, range(1001)), nat_subset(2011, range(1005))
         assert refusal(lambda: combine(SetOp.INTERSECT, s, t)) == (
-            cap_text("intersection", 4028033, 1006005)
+            cap_text("S & T", 4028033, 1006005)
         )
 
     def test_large_difference(self):
         assert refusal(lambda: eval_text("N \\ ap(1, 1000003)")) == (
-            cap_text("difference", 1000003, 1000003)
+            cap_text("S \\ T", 1000003, 1000003)
         )
 
     def test_large_complement(self):
         assert refusal(lambda: complement(nat_subset(1000003, (0,)))) == (
-            cap_text("complement", 1000003, 1000002)
+            cap_text("~S", 1000003, 1000002)
         )
 
     def test_large_complement_in_the_language(self):
         assert refusal(lambda: eval_text("~ap(1, 1000003)")) == (
-            cap_text("complement", 1000003, 1000002)
+            cap_text("~S", 1000003, 1000002)
         )
 
 
