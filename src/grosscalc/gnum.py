@@ -108,8 +108,6 @@ MAX_UNROLL = 512
 # CPython 3.11's default int/str limit, fixed here rather than read from the
 # interpreter so that every supported version refuses the same integers.
 MAX_DIGITS = 4300
-_DIGIT_BOUND = 10 ** MAX_DIGITS
-_DIGIT_BOUND_BITS = _DIGIT_BOUND.bit_length()
 
 
 class Ordering(Enum):
@@ -132,8 +130,10 @@ def _sign(x) -> int:
 
 
 def too_long(n: int) -> bool:
-    """|n| > MAX_DIGITS digits; an ordinary int passes on one comparison."""
-    return n.bit_length() >= _DIGIT_BOUND_BITS and abs(n) >= _DIGIT_BOUND
+    """|n| > MAX_DIGITS digits, MAX_DIGITS read at call time.  An ordinary
+    int passes on one comparison: 3 * MAX_DIGITS bits stay below
+    8^MAX_DIGITS < 10^MAX_DIGITS."""
+    return n.bit_length() > 3 * MAX_DIGITS and abs(n) >= 10 ** MAX_DIGITS
 
 
 def check_digits(n: int, what: str = "an integer") -> int:

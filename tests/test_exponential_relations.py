@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grosscalc import cli, errors, gclang
@@ -34,9 +34,19 @@ from grosscalc.gnum import (
 )
 from grosscalc.oracle import check_order, subst
 
-# Even points whose targets below (c*L, c*L + d, L^2) are powers of no base in
-# play, so the inclusive side of the sandwich is strict at every one of them.
-POINTS = (10 ** 6 + 2, 3 * 10 ** 6 + 14, 10 ** 7 + 6)
+# A decided verdict is the sign of the leading term of a polynomial bound on
+# x - y (see gnum._cmp_sandwich); it holds at L once L is past every root of
+# that bound.  Times G the bound has degree at most 3.  Each critical side adds
+# coefficients m*b^o*t or m*b^(o-1)*t with m <= 10, b^o <= 10^3 and |t| <= 3,
+# at most 3*10^4, and tails and polynomials at most 3*20 an exponent, so no
+# coefficient passes 2*3*10^4 + 2*60 = 60120.  Every coefficient is a rational
+# whose denominator divides 60 (multipliers and tails) * 2 (G/2) * 8, 27 or
+# 1000 (b^(o-1) for o >= -2), so a nonzero leading one is at least 1/3240000.
+# By Cauchy's bound every root lies below 1 + 60120*3240000, about 1.95e11:
+# the pair in the @example below ties at L = 3000014.  The points are
+# even and past that bound, and their targets (c*L, c*L + d, L^2) are powers
+# of no base in play, so the inclusive side of the sandwich is strict at each.
+POINTS = (10 ** 12 + 2, 3 * 10 ** 12 + 14, 10 ** 13 + 6)
 BASES = (2, 3, 10)
 
 _scales = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)])
@@ -91,6 +101,10 @@ def sandwich_pairs(draw):
 
 
 @given(sandwich_pairs())
+@example((
+    ExpCount(Fraction(1, 6), 10, CritRef(10, G ** 2, -2)),
+    ExpCount(Fraction(5, 3), 10, CritRef(10, G / 2, 3)),
+))
 @settings(max_examples=400, deadline=None)
 def test_decided_sandwich_verdicts_hold_under_substitution(pair):
     x, y = pair

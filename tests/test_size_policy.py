@@ -241,6 +241,10 @@ class TestOneValueDrivesEverySite:
     def few_bits(self, monkeypatch):
         monkeypatch.setattr(gnum, "MAX_POWER_BITS", 64)
 
+    @pytest.fixture
+    def few_digits(self, monkeypatch):
+        monkeypatch.setattr(gnum, "MAX_DIGITS", 10)
+
     @pytest.mark.parametrize(
         "at_cap, past_cap",
         [
@@ -307,6 +311,20 @@ class TestOneValueDrivesEverySite:
         assert gclang.eval_text(at_cap) is True
         with pytest.raises(errors.ExponentTooLarge, match=r"past MAX_POWER_BITS = 64$"):
             gclang.eval_text(past_cap)
+
+    @pytest.mark.parametrize(
+        "at_cap, past_cap",
+        [
+            ("1234567890", "12345678901"),
+            ("10^9", "10^11"),
+            ("card(ap(1, 10^9))", "card(ap(1, 10^11))"),
+            ("subst(G, 10^9)", "subst(G, 10^11)"),
+        ],
+    )
+    def test_digits(self, few_digits, at_cap, past_cap):
+        gclang.render_value(gclang.eval_text(at_cap))
+        with pytest.raises(errors.RepresentationLimit, match=r"past MAX_DIGITS = 10$"):
+            gclang.render_value(gclang.eval_text(past_cap))
 
     def test_power_bits_bound_exhaustive_enumeration(self, few_bits):
         with pytest.raises(errors.RepresentationLimit) as info:
