@@ -9,176 +9,3 @@ accuracy.  A small expression language with a REPL and CLI (``gc``) fronts
 all of it, and a finite-substitution oracle cross-checks every count against
 brute-force enumeration.
 """
-from .gclang import (
-    MeasuredSet,
-    SignedMeasured,
-    default_env,
-    eval_text,
-    evaluate,
-    parse,
-    render_value,
-    type_tag,
-)
-from .gnum import (
-    G,
-    GROSSONE,
-    Classification,
-    CritRef,
-    ExpCount,
-    GrossNumber,
-    GrossPoly,
-    ONE,
-    Ordering,
-    ZERO,
-    add,
-    classify,
-    compare,
-    div_exact,
-    fin,
-    gterm,
-    make_poly,
-    mul,
-    neg,
-    pow_count,
-    render_gross,
-    sub,
-)
-from .observer import (
-    ALEPH0,
-    CALCULUS_INFINITY,
-    CANTOR,
-    CONTINUUM,
-    CountingSystem,
-    GROSSONE_SYSTEM,
-    INFINITY,
-    MANY,
-    MANY_REALLY_MANY,
-    MUNDURUKU,
-    Observation,
-    PIRAHA,
-    SOME_NOT_MANY,
-    distinguishable,
-    observe,
-    weak_add,
-)
-from .oracle import SubstReport, check_card, check_order, subst, sweep
-from .posnum import (
-    CriticalPair,
-    InfNumeral,
-    compare_numerals,
-    critical,
-    enumerate_all,
-    enumerate_first,
-    float_count,
-    numeral,
-    numeral_count,
-    predecessor,
-    render_numeral,
-    signed_line_count,
-    successor,
-    zeros,
-)
-from .setmeasure import (
-    EMPTY,
-    INTEGERS,
-    NATURALS,
-    NatSubset,
-    SetOp,
-    SignedSet,
-    card,
-    card_signed,
-    combine,
-    complement,
-    finite_set,
-    members,
-    nat_subset,
-    product_card,
-    progression,
-    render_nat,
-    render_signed,
-)
-
-__all__ = [
-    "ALEPH0",
-    "CALCULUS_INFINITY",
-    "CANTOR",
-    "CONTINUUM",
-    "Classification",
-    "CountingSystem",
-    "CritRef",
-    "CriticalPair",
-    "EMPTY",
-    "ExpCount",
-    "G",
-    "GROSSONE",
-    "GROSSONE_SYSTEM",
-    "GrossNumber",
-    "GrossPoly",
-    "INFINITY",
-    "INTEGERS",
-    "InfNumeral",
-    "MANY",
-    "MANY_REALLY_MANY",
-    "MUNDURUKU",
-    "MeasuredSet",
-    "NATURALS",
-    "NatSubset",
-    "ONE",
-    "Observation",
-    "Ordering",
-    "PIRAHA",
-    "SOME_NOT_MANY",
-    "SetOp",
-    "SignedMeasured",
-    "SignedSet",
-    "SubstReport",
-    "ZERO",
-    "add",
-    "card",
-    "card_signed",
-    "check_card",
-    "check_order",
-    "classify",
-    "combine",
-    "compare",
-    "compare_numerals",
-    "complement",
-    "critical",
-    "default_env",
-    "distinguishable",
-    "div_exact",
-    "enumerate_all",
-    "enumerate_first",
-    "eval_text",
-    "evaluate",
-    "fin",
-    "finite_set",
-    "float_count",
-    "gterm",
-    "make_poly",
-    "members",
-    "mul",
-    "nat_subset",
-    "neg",
-    "numeral",
-    "numeral_count",
-    "observe",
-    "parse",
-    "pow_count",
-    "predecessor",
-    "product_card",
-    "progression",
-    "render_gross",
-    "render_nat",
-    "render_numeral",
-    "render_signed",
-    "render_value",
-    "signed_line_count",
-    "sub",
-    "subst",
-    "successor",
-    "sweep",
-    "type_tag",
-    "weak_add",
-    "zeros",
-]

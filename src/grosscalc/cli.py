@@ -29,7 +29,7 @@ def _oracle_text(value, point: int):
         if isinstance(source, (MeasuredSet, SignedMeasured)):
             report = oracle.check_set(source.expr, source.record, point)
             return str(report), report.match
-        if isinstance(value, (gclang.GrossPoly, gclang.ExpCount, gclang.CritRef)):
+        if isinstance(value, (gnum.GrossPoly, gnum.ExpCount, gnum.CritRef)):
             substituted = oracle.subst(value, point)
             gnum.check_digits(substituted.numerator)
             gnum.check_digits(substituted.denominator)

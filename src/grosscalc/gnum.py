@@ -58,9 +58,10 @@ each, and each refuses with ExponentTooLarge a power past its cap:
   for sums, differences and quotients; it refuses ``b^k`` past
   ``MAX_POWER_BITS`` bits, exactly as ``power`` does.
 
-A numeral base is checked in one place, ``_check_base``.  A coefficient is
-written in one, ``_scaled``, and a sum of terms in one, ``_join_terms``,
-for polynomials, exponential counts and critical-length offsets alike.
+Within ``gnum`` a numeral base is checked in one place, ``_check_base``.
+A coefficient is written in one, ``_scaled``, and a sum of terms in one,
+``_join_terms``, for polynomials, exponential counts and critical-length
+offsets alike.
 
 Every guard on work too large to do, in every module, is one ``refuse``
 call with the size it measured and the name of a cap here, read at call
@@ -362,8 +363,7 @@ def _poly(terms, depth: Optional[int] = None) -> GrossPoly:
 
 ZERO = GrossPoly()
 ONE = GrossPoly(((1, ZERO),))
-GROSSONE = GrossPoly(((1, ONE),))
-G = GROSSONE
+G = GrossPoly(((1, ONE),))
 
 
 def fin(value) -> GrossPoly:
@@ -1061,7 +1061,7 @@ def render_gross(x: GrossNumber) -> str:
         return render_poly(x)
     if isinstance(x.exponent, CritRef):
         exp_text = render_critref(x.exponent)
-    elif x.exponent == GROSSONE:
+    elif x.exponent == G:
         exp_text = "G"
     else:
         exp_text = f"({render_poly(x.exponent)})"

@@ -5,11 +5,12 @@ of (classes, type tag, renderer) rows, calls are one table of (library
 call, argument checks) rows, and each set operator is named once, by its
 symbol.  These tests pin what the tables decide: the grouping of every
 ordered pair of binary operators, one rendering and tag per value kind,
-the nesting cap, and the README's list of calls.  The generated inputs at
-the end, deep, long, huge or typed by the call table, must each end in
-exactly one JSON object from ``cli.run_line``.
+the nesting cap, the README's list of calls and its library session.  The
+generated inputs at the end, deep, long, huge or typed by the call table,
+must each end in exactly one JSON object from ``cli.run_line``.
 """
 import contextlib
+import doctest
 import io
 import itertools
 import json
@@ -235,11 +236,14 @@ def test_long_set_chains(pieces, step, op, point):
 # the call table: one row per call, the library call and then one (check,
 # what, minimum) triple per argument
 
+def _readme():
+    with open(Path(__file__).resolve().parents[1] / "README.md", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _readme_calls():
     """{name: arity} of every call the README's "Calls" table documents."""
-    with open(Path(__file__).resolve().parents[1] / "README.md", encoding="utf-8") as fh:
-        text = fh.read()
-    table = text.split("Calls:\n\n", 1)[1].split("\n\n", 1)[0]
+    table = _readme().split("Calls:\n\n", 1)[1].split("\n\n", 1)[0]
     calls = {}
     for row in table.splitlines()[2:]:
         for name, args in re.findall(r"`(\w+)\(([^)]*)\)", row.split("|")[1]):
@@ -249,6 +253,13 @@ def _readme_calls():
 
 def test_the_readme_documents_every_call_with_its_arity():
     assert _readme_calls() == {name: len(row) - 1 for name, row in gclang._CALLS.items()}
+
+
+def test_the_readme_library_session_runs():
+    block = _readme().split("```python\n", 1)[1].split("```", 1)[0]
+    session = doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0)
+    failed, attempted = doctest.DocTestRunner().run(session)
+    assert attempted and not failed
 
 
 # value texts over every kind, with values just past each size cap; a text

@@ -8,6 +8,12 @@ with ``python tests/transcript.py --write``, and the diff shows each line.
 import json
 
 import transcript
+from grosscalc import errors
+
+
+def _kinds(cls):
+    """The names of cls and of every class below it."""
+    return {cls.__name__}.union(*map(_kinds, cls.__subclasses__()))
 
 
 def _committed():
@@ -27,7 +33,12 @@ def test_the_transcript_covers_refusals_values_and_the_oracle():
     assert len(entries) > 2500
     outs = [e["out"] for e in entries if "out" in e]
     kinds = {o["error"]["kind"] for o in outs if "error" in o}
-    assert {"RepresentationLimit", "ExponentTooLarge", "Undetermined", "ParseError"} <= kinds
+    # every kind an input can reach: only `gc run` on an unreadable file
+    # reaches UnreadableScript, and tests/test_cli.py covers it
+    assert _kinds(errors.GrossError) - {"GrossError", "UnreadableScript"} <= kinds
+    # outputs kept only as a length and sha256 cannot be scanned here
+    assert "InternalError" not in kinds
+    assert not any(o.get("oracle", "").endswith("[MISMATCH]") for o in outs)
     assert sum("value" in o for o in outs) > len(entries) / 2
     assert sum("oracle" in o for o in outs) > 100
     assert any(e["chain"] is not None for e in entries)

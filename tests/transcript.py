@@ -13,8 +13,8 @@ bytes.
 The inputs come from seeded sources: the typed probe of every call in
 ``test_language_tables``, the count corpus of ``test_exact_coefficients``,
 ``let`` chains drawn here, every size-policy row past a cap, the inputs
-whose wholeness a count rule decides and a few syntax errors; a share runs
-under ``--oracle``.
+whose wholeness a count rule decides, a few syntax errors and one input
+for each error kind the others miss; a share runs under ``--oracle``.
 
 A change that alters an output on purpose rewrites the file, so that
 ``git diff`` shows every changed output:
@@ -65,6 +65,11 @@ SYNTAX = (
     "1 +", "2 $ 3", "ap(1, 2", "(" * 101 + "1" + ")" * 101, 'num(10, G){tail: "1", tail: "2"}',
 )
 
+# one input for each error kind that no source above reaches
+KINDS = (
+    "2^(-G)", "G^" * 10 + "2", "subst(crit(2, G - 5), 2)", "num(10, G) < num(2, G)", "x", "f(1)",
+)
+
 
 def _chains(rng: random.Random, count: int = 40):
     """Each chain binds a count, a set and a second count, then reads and
@@ -106,7 +111,7 @@ def inputs():
     for row in test_size_policy.PAST_CAP:
         rows.append((getattr(row, "values", row)[0], None, None))
     rows.append((*test_size_policy.PAST_CAP_POINT, None))
-    rows += [(line, None, None) for line in WHOLE_COUNTS + SYNTAX]
+    rows += [(line, None, None) for line in WHOLE_COUNTS + SYNTAX + KINDS]
     return rows
 
 
