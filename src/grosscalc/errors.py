@@ -67,7 +67,10 @@ class NonIntegerExponent(GrossError):
 
 
 class ExponentTooLarge(GrossError):
-    """Substitution would require an astronomically large power; refused."""
+    """An exact power past a cap of gnum: its bit bound past MAX_POWER_BITS
+    (a finite power, the gap between two exponential counts, a cross-power
+    or critical-length comparison, a substitution G := L), or a power of a
+    multi-term value that would unroll past MAX_UNROLL products."""
 
 
 class CritRefNotSubstitutable(GrossError):
@@ -97,8 +100,11 @@ class NotInfinite(GrossError):
 
 
 class RepresentationLimit(GrossError):
-    """The result exists but would need more explicit digits than the
-    sparse two-ended representation is willing to materialize."""
+    """The result exists but is too large to write out: an integer past
+    MAX_DIGITS digits, or more than MAX_ITEMS items (the residue classes a
+    set holds, the elements a progression skips below its start, members
+    listed, numerals enumerated, digits written out by a borrow), or an
+    exhaustive enumeration whose count's bit bound passes MAX_POWER_BITS."""
 
 
 # observers

@@ -94,98 +94,56 @@ from .setmeasure import (
 # syntax tree
 
 
-# Syntax nodes are frozen dataclasses, so they compare by class and fields,
-# hash, print and refuse assignment as dataclasses do, but each __init__
-# writes its fields straight into __dict__: the generated one makes one
-# object.__setattr__ call per field, which nearly doubles the cost of a
-# node.  They stay dataclasses, not tuples or slotted classes: a tree is
-# walked by vars() and dataclasses.fields(), and a Bin must not equal a Cmp
-# of the same fields.
+# Syntax nodes are plain dataclasses, not tuples: bench/tracer.py walks a tree by
+# vars(), and a Bin must not equal a Cmp of the same fields.
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(unsafe_hash=True)
 class Lit:
     value: int
 
-    def __init__(self, value):
-        self.__dict__["value"] = value
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(unsafe_hash=True)
 class Name:
     ident: str
 
-    def __init__(self, ident):
-        self.__dict__["ident"] = ident
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(unsafe_hash=True)
 class Unary:
     op: str
     operand: "Ast"
 
-    def __init__(self, op, operand):
-        d = self.__dict__
-        d["op"] = op
-        d["operand"] = operand
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(unsafe_hash=True)
 class Bin:
     op: str
     left: "Ast"
     right: "Ast"
 
-    def __init__(self, op, left, right):
-        d = self.__dict__
-        d["op"] = op
-        d["left"] = left
-        d["right"] = right
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(unsafe_hash=True)
 class Cmp:
     op: str
     left: "Ast"
     right: "Ast"
 
-    def __init__(self, op, left, right):
-        d = self.__dict__
-        d["op"] = op
-        d["left"] = left
-        d["right"] = right
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(unsafe_hash=True)
 class SetLit:
     elems: Tuple["Ast", ...]
 
-    def __init__(self, elems):
-        self.__dict__["elems"] = elems
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(unsafe_hash=True)
 class Call:
     func: str
     args: Tuple["Ast", ...]
     fields: Tuple[Tuple[str, str], ...] = ()
 
-    def __init__(self, func, args, fields=()):
-        d = self.__dict__
-        d["func"] = func
-        d["args"] = args
-        d["fields"] = fields
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(unsafe_hash=True)
 class Let:
     name: str
     value: "Ast"
-
-    def __init__(self, name, value):
-        d = self.__dict__
-        d["name"] = name
-        d["value"] = value
 
 
 Ast = Union[Lit, Name, Unary, Bin, Cmp, SetLit, Call, Let]

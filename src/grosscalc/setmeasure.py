@@ -37,7 +37,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -71,27 +70,6 @@ def _check_positive_elements(elems: Iterable[int], what: str) -> FrozenSet[int]:
         if not isinstance(e, int) or e < 1:
             raise EvalError(f"{what} must be positive integers, got {e!r}")
     return out
-
-
-class _View(AbstractSet):
-    """A read-only set given by its size, a membership test and a walk."""
-
-    def __init__(self, size: int, has, walk):
-        self._size, self._has, self._walk = size, has, walk
-
-    def __len__(self):
-        return self._size
-
-    def __contains__(self, x):
-        return isinstance(x, int) and self._has(x)
-
-    def __iter__(self):
-        return iter(self._walk())
-
-    @classmethod
-    def _from_iterable(cls, it):
-        # set operators on a view (v | w, v & w, ...) return plain frozensets
-        return frozenset(it)
 
 
 class NatSubset(NamedTuple):
@@ -134,26 +112,19 @@ class NatSubset(NamedTuple):
         return self.modulus - n if self.complemented else n
 
     @property
-    def residues(self) -> AbstractSet:
-        """The member classes, ascending when complemented, as a read-only set."""
+    def residues(self) -> FrozenSet[int]:
+        """The member classes; a record that stores the non-member classes
+        lists them anew on each read."""
         if not self.complemented:
             return self.classes
-        m, stored = self.modulus, self.classes
-        return _View(m - len(stored), lambda r: 0 <= r < m and r not in stored,
-                     lambda: (r for r in range(m) if r not in stored))
+        return frozenset(r for r in range(self.modulus) if r not in self.classes)
 
     @property
-    def removed(self) -> AbstractSet:
-        """Every non-member in a member class, the ones below the floor first,
-        as a read-only set."""
-        if self.floor == 1:
-            return self.holes
-        m, stored, complemented, floor = self.modulus, self.classes, self.complemented, self.floor
-        return _View(
-            (floor - 1) // m * self.class_count + len(self.holes),
-            lambda x: x in self.holes or (1 <= x < floor and (x % m in stored) != complemented),
-            lambda: itertools.chain(_between(m, stored, complemented, 1, floor), self.holes),
-        )
+    def removed(self) -> FrozenSet[int]:
+        """Every non-member in a member class: the holes, and below the floor
+        the elements of the member classes."""
+        below = _between(self.modulus, self.classes, self.complemented, 1, self.floor)
+        return self.holes.union(below)
 
     def contains(self, x: int) -> bool:
         if x in self.added:
@@ -393,7 +364,7 @@ def _meet_sides(op: SetOp, s: NatSubset, t: NatSubset, lift: int):
     classes of both are listed and paired by CRT into the pairs the cap counted.
     """
     if op is SetOp.INTERSECT and lift > gnum.MAX_ITEMS:
-        return _crt(frozenset(s.residues), s.modulus, frozenset(t.residues), t.modulus), False
+        return _crt(s.residues, s.modulus, t.residues, t.modulus), False
     flip_s, flip_t = op is SetOp.UNION, op is not SetOp.INTERSECT
     sa, ca, ma = s.classes, s.complemented != flip_s, s.modulus
     sb, cb, mb = t.classes, t.complemented != flip_t, t.modulus
@@ -429,7 +400,7 @@ def _listed_size(op: SetOp, s: NatSubset, t: NatSubset, lift: int) -> int:
     return g * bs * bt + bs * st * len(t.classes) + bt * ss * len(s.classes) + ss * st * cross
 
 
-def _lift(residues: FrozenSet[int], modulus: int, lift: int) -> AbstractSet[int]:
+def _lift(residues: FrozenSet[int], modulus: int, lift: int) -> set | FrozenSet[int]:
     """The classes r mod modulus as classes mod lift (a multiple of it)."""
     if modulus == lift:
         return residues

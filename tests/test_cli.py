@@ -1,9 +1,13 @@
 """The gc command line: output shapes, exit codes, scripts, the REPL."""
 
 import hashlib
+import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +228,33 @@ def test_cross_base_tie_is_decided_in_json(capsys):
 def test_other_errors_keep_kind_and_detail_only(line, capsys):
     assert cli.run_line(line, gclang.default_env(), json_mode=True, point=None) != cli.EXIT_OK
     assert set(json.loads(capsys.readouterr().out)["error"]) == {"kind", "detail"}
+
+
+def _readme_examples():
+    """(command, shown lines) for each `$ gc ...` command in the README's
+    sh and text blocks; a `gc>` line of a session holds one input."""
+    with open(Path(__file__).resolve().parents[1] / "README.md", encoding="utf-8") as fh:
+        blocks = re.findall(r"```(?:sh|text)\n(.*?)```", fh.read(), re.S)
+    examples = []
+    for block in blocks:
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if chunk.startswith("$ gc"):
+                command, *shown = chunk.rstrip("\n").splitlines()
+                examples.append(pytest.param(command, shown, id=command[2:]))
+    return examples
+
+
+@pytest.mark.parametrize("command, shown", _readme_examples())
+def test_the_readme_examples_print_what_they_show(command, shown, capsys, monkeypatch):
+    inputs = [line[len("gc> "):] for line in shown if line.startswith("gc> ")]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{line}\n" for line in inputs)))
+    cli.main(shlex.split(command)[2:])
+    out = capsys.readouterr().out
+    if inputs:
+        # a session as a terminal shows it: each prompt followed by its
+        # echoed input and then its output, without the greeting
+        answers = out.split("gc> ")[1:len(inputs) + 1]
+        out = "".join(f"gc> {line}\n{answer}" for line, answer in zip(inputs, answers))
+    # a line `...` stands for any number of lines
+    pattern = "".join(r"(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in shown)
+    assert re.fullmatch(pattern, out), out

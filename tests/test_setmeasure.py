@@ -46,9 +46,10 @@ ZERO_ONLY = SignedSet(EMPTY, True, EMPTY)
 def brute(s, limit):
     """Extensional membership over 1..limit, straight from the definition."""
     out = set()
+    residues, removed = s.residues, s.removed
     for n in range(1, limit + 1):
         r = n % s.modulus
-        if (r in s.residues) != (n in s.removed):
+        if (r in residues) != (n in removed):
             out.add(n)
     out |= {n for n in s.added if n <= limit}
     return out

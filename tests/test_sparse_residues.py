@@ -70,9 +70,8 @@ def dense_nat_subset(modulus, residues, added=(), removed=()):
 def dense_combine(op, s, t):
     lift = math.lcm(s.modulus, t.modulus)
     fn = _MEMBERSHIP[op]
-    residues = [
-        r for r in range(lift) if fn(r % s.modulus in s.residues, r % t.modulus in t.residues)
-    ]
+    rs, rt = s.residues, t.residues
+    residues = [r for r in range(lift) if fn(r % s.modulus in rs, r % t.modulus in rt)]
     added, removed = [], []
     for x in s.added | s.removed | t.added | t.removed:
         is_in = fn(s.contains(x), t.contains(x))
@@ -248,8 +247,9 @@ class TestDescriptionCost:
         # sides lifted for a union, the left one for a difference and the
         # CRT pairs for an intersection
         lift = math.lcm(s.modulus, t.modulus)
-        in_s = [r % s.modulus in s.residues for r in range(lift)]
-        in_t = [r % t.modulus in t.residues for r in range(lift)]
+        rs, rt = s.residues, t.residues
+        in_s = [r % s.modulus in rs for r in range(lift)]
+        in_t = [r % t.modulus in rt for r in range(lift)]
         listed = {
             SetOp.UNION: sum(in_s) + sum(in_t),
             SetOp.DIFFERENCE: sum(in_s),

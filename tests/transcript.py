@@ -13,8 +13,9 @@ bytes.
 The inputs come from seeded sources: the typed probe of every call in
 ``test_language_tables``, the count corpus of ``test_exact_coefficients``,
 ``let`` chains drawn here, every size-policy row past a cap, the inputs
-whose wholeness a count rule decides, a few syntax errors and one input
-for each error kind the others miss; a share runs under ``--oracle``.
+whose wholeness a count rule decides, a few syntax errors, one input for
+each error kind the others miss and one for each tokenizer or evaluator
+branch they miss; a share runs under ``--oracle``.
 
 A change that alters an output on purpose rewrites the file, so that
 ``git diff`` shows every changed output:
@@ -70,6 +71,17 @@ KINDS = (
     "2^(-G)", "G^" * 10 + "2", "subst(crit(2, G - 5), 2)", "num(10, G) < num(2, G)", "x", "f(1)",
 )
 
+# one input for each tokenizer or evaluator branch that no source above
+# reaches; ORACLE_BRANCHES also run under --oracle
+BRANCHES = (
+    "①", "λ", 'num(10, G){tail: "1', "1 2", 'num(10, G){bad: "1"}',
+    "2^crit(2, G)", "1 + crit(2, G)", "crit(2, G) * 2", "ap(1,2) + 1", "ap(1,2) | 1", "~1",
+    "let card = 1", "N == N", "ap(1,2) == mirror(N)", "ap(1,2) < N", "~mirror(N)",
+    "~({0} | ap(1,2))", "true == false", "observe(piraha, 3) == observe(piraha, 4)",
+    "wadd(piraha, 1, 1) == wadd(piraha, 2, 2)", "observe(piraha, 1) == 1",
+)
+ORACLE_BRANCHES = ("~mirror(N)", "~({0} | ap(1,2))", "2^crit(2, G)")
+
 
 def _chains(rng: random.Random, count: int = 40):
     """Each chain binds a count, a set and a second count, then reads and
@@ -111,7 +123,8 @@ def inputs():
     for row in test_size_policy.PAST_CAP:
         rows.append((getattr(row, "values", row)[0], None, None))
     rows.append((*test_size_policy.PAST_CAP_POINT, None))
-    rows += [(line, None, None) for line in WHOLE_COUNTS + SYNTAX + KINDS]
+    rows += [(line, None, None) for line in WHOLE_COUNTS + SYNTAX + KINDS + BRANCHES]
+    rows += [(line, 12, None) for line in ORACLE_BRANCHES]
     return rows
 
 
