@@ -8,8 +8,11 @@ every admissible L, where admissible means L is divisible by the moduli in
 play and safely larger than all exceptional elements.
 
 check_set compares a set's residue record with a brute count of its
-expression tree: the calculator passes the record a value printed, and
-check_card (a bare tree) builds one.
+expression tree: the calculator passes the record a value printed.
+check_card and admissible_points take a bare tree and build its record
+once: they keep the last tree they built with its prepared check, and reuse
+it while they are handed that same tree object again, so checking a tree at
+each of its admissible points builds it once.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import gnum
 from .errors import (
@@ -168,6 +171,53 @@ def brute_count(expr: Union[SetExpr, SignedSet], L: int) -> int:
     return expr.mask_upto(L).bit_count()
 
 
+class _Prepared(NamedTuple):
+    """What every point of one check reads, computed once per record."""
+
+    expr: Union[SetExpr, SignedSet]
+    record: object
+    parts: tuple
+    ceiling: int
+    count: GrossPoly
+
+
+def _prepare(expr: Union[SetExpr, SignedSet], record) -> _Prepared:
+    parts = (record.negatives, record.positives) if isinstance(record, SignedSet) else (record,)
+    ceiling = max(largest_exception(part) for part in parts)
+    return _Prepared(expr, record, parts, ceiling, record.card())
+
+
+# The last tree check_card or admissible_points built, with its prepared
+# check.  One entry, not a memo per tree: memory stays bounded, and a tree
+# is rebuilt unless it is the very object checked last.
+_last: Optional[_Prepared] = None
+
+
+def _prepared(expr: Union[SetExpr, SignedSet]) -> _Prepared:
+    """expr's prepared check from its own build, reused while expr is the
+    tree prepared last.  _last is read once, so a thread never pairs a tree
+    with the record another thread stored."""
+    global _last
+    last = _last
+    if last is not None and last.expr is expr:
+        return last
+    last = _prepare(expr, expr.build())
+    _last = last
+    return last
+
+
+def _check(prepared: _Prepared, L: int) -> SubstReport:
+    _check_brute_point(L)
+    for part in prepared.parts:
+        if L % part.modulus != 0:
+            raise InvalidL(f"L={L} is not divisible by the canonical modulus {part.modulus}")
+    if L <= 10 * prepared.ceiling:
+        raise InvalidL(f"L={L} is not beyond 10x the largest exception {prepared.ceiling}")
+    sym_val = subst(prepared.count, L)
+    brute = Fraction(brute_count(prepared.expr, L))
+    return SubstReport(str(prepared.expr), L, sym_val, brute, sym_val == brute)
+
+
 def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
     """Compare the symbolic count of expr against brute enumeration at L.
 
@@ -175,24 +225,17 @@ def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
     the largest exceptional element, so that every residue class is sampled
     a whole number of times and corrections sit well inside the range, and
     at most gnum.MAX_ITEMS, the most points brute force enumerates.
+
+    The record is built from the tree, unless expr is the same object as the
+    tree check_card or admissible_points built last, whose record is reused.
     """
-    return check_set(expr, expr.build(), L)
+    return _check(_prepared(expr), L)
 
 
 def check_set(expr: Union[SetExpr, SignedSet], record, L: int) -> SubstReport:
     """check_card against a given record of expr, such as the one a
     calculator value printed, rather than one rebuilt from the tree."""
-    _check_brute_point(L)
-    parts = (record.negatives, record.positives) if isinstance(record, SignedSet) else (record,)
-    for part in parts:
-        if L % part.modulus != 0:
-            raise InvalidL(f"L={L} is not divisible by the canonical modulus {part.modulus}")
-    ceiling = max(largest_exception(part) for part in parts)
-    if L <= 10 * ceiling:
-        raise InvalidL(f"L={L} is not beyond 10x the largest exception {ceiling}")
-    sym_val = subst(record.card(), L)
-    brute = Fraction(brute_count(expr, L))
-    return SubstReport(str(expr), L, sym_val, brute, sym_val == brute)
+    return _check(_prepare(expr, record), L)
 
 
 def check_order(x: GrossNumber, y: GrossNumber, Ls: Sequence[int]) -> SubstReport:
@@ -247,15 +290,11 @@ def _expr_moduli(expr: SetExpr) -> list:
 
 
 def admissible_points(expr: SetExpr) -> Tuple[int, ...]:
-    """Substitution points valid for check_card on this expression."""
-    return _points_for(expr, expr.build())
-
-
-def _points_for(expr: SetExpr, built) -> Tuple[int, ...]:
-    """admissible_points with the record of expr already built."""
-    lcm = math.lcm(built.modulus, *(_expr_moduli(expr) or [1]))
-    ceiling = largest_exception(built)
-    floor = max(2, 10 * ceiling + 1)
+    """Substitution points valid for check_card on this expression; the
+    record built here is the one check_card then reuses for expr."""
+    prepared = _prepared(expr)
+    lcm = math.lcm(prepared.record.modulus, *(_expr_moduli(expr) or [1]))
+    floor = max(2, 10 * prepared.ceiling + 1)
     scale = -(floor // -lcm)  # ceil division
     return tuple(lcm * scale * m for m in POINT_MULTIPLIERS)
 
@@ -267,9 +306,8 @@ def sweep(seed: int, cases: int) -> Tuple[int, list]:
     failures = 0
     for _ in range(cases):
         expr = random_set_expr(rng)
-        built = expr.build()
-        for L in _points_for(expr, built):
-            report = check_set(expr, built, L)
+        for L in admissible_points(expr):
+            report = check_card(expr, L)
             reports.append(report)
             if not report.match:
                 failures += 1
