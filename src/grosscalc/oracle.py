@@ -9,10 +9,10 @@ play and safely larger than all exceptional elements.
 
 check_set compares a set's residue record with a brute count of its
 expression tree: the calculator passes the record a value printed.
-check_card and admissible_points take a bare tree and build its record
-once: they keep the last tree they built with its prepared check, and reuse
-it while they are handed that same tree object again, so checking a tree at
-each of its admissible points builds it once.
+check_card takes a bare tree and builds its record, unless L is one of the
+points admissible_points returned for that same tree object: each such
+point carries the record it was computed from, so checking a tree at each
+of its admissible points builds it once.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Sequence, Tuple, Union
 
 from . import gnum
 from .errors import (
@@ -171,39 +172,35 @@ def brute_count(expr: Union[SetExpr, SignedSet], L: int) -> int:
     return expr.mask_upto(L).bit_count()
 
 
-class _Prepared(NamedTuple):
-    """What every point of one check reads, computed once per record."""
+class _Prepared:
+    """One record of expr, with what every point of its check reads from it:
+    the parts now, the largest-exception ceiling and the count on first use."""
 
-    expr: Union[SetExpr, SignedSet]
-    record: object
-    parts: tuple
-    ceiling: int
-    count: GrossPoly
+    def __init__(self, expr: Union[SetExpr, SignedSet], record):
+        self.expr = expr
+        self.record = record
+        self.parts = (record.negatives, record.positives) if isinstance(record, SignedSet) else (record,)
 
+    @cached_property
+    def ceiling(self) -> int:
+        return max(largest_exception(part) for part in self.parts)
 
-def _prepare(expr: Union[SetExpr, SignedSet], record) -> _Prepared:
-    parts = (record.negatives, record.positives) if isinstance(record, SignedSet) else (record,)
-    ceiling = max(largest_exception(part) for part in parts)
-    return _Prepared(expr, record, parts, ceiling, record.card())
-
-
-# The last tree check_card or admissible_points built, with its prepared
-# check.  One entry, not a memo per tree: memory stays bounded, and a tree
-# is rebuilt unless it is the very object checked last.
-_last: Optional[_Prepared] = None
+    @cached_property
+    def count(self) -> GrossPoly:
+        return self.record.card()
 
 
-def _prepared(expr: Union[SetExpr, SignedSet]) -> _Prepared:
-    """expr's prepared check from its own build, reused while expr is the
-    tree prepared last.  _last is read once, so a thread never pairs a tree
-    with the record another thread stored."""
-    global _last
-    last = _last
-    if last is not None and last.expr is expr:
-        return last
-    last = _prepare(expr, expr.build())
-    _last = last
-    return last
+class _Point(int):
+    """A point admissible_points returned, carrying the prepared check of
+    the tree it was computed for; it copies and pickles as a plain int."""
+
+    def __new__(cls, value: int, prepared: _Prepared):
+        point = super().__new__(cls, value)
+        point.prepared = prepared
+        return point
+
+    def __reduce__(self):
+        return int, (int(self),)
 
 
 def _check(prepared: _Prepared, L: int) -> SubstReport:
@@ -226,16 +223,18 @@ def check_card(expr: Union[SetExpr, SignedSet], L: int) -> SubstReport:
     a whole number of times and corrections sit well inside the range, and
     at most gnum.MAX_ITEMS, the most points brute force enumerates.
 
-    The record is built from the tree, unless expr is the same object as the
-    tree check_card or admissible_points built last, whose record is reused.
+    The record is built from the tree, unless L is a point admissible_points
+    returned for this same tree object, whose record it carries.
     """
-    return _check(_prepared(expr), L)
+    if isinstance(L, _Point) and L.prepared.expr is expr:
+        return _check(L.prepared, int(L))
+    return _check(_Prepared(expr, expr.build()), L)
 
 
 def check_set(expr: Union[SetExpr, SignedSet], record, L: int) -> SubstReport:
     """check_card against a given record of expr, such as the one a
     calculator value printed, rather than one rebuilt from the tree."""
-    return _check(_prepare(expr, record), L)
+    return _check(_Prepared(expr, record), L)
 
 
 def check_order(x: GrossNumber, y: GrossNumber, Ls: Sequence[int]) -> SubstReport:
@@ -290,13 +289,13 @@ def _expr_moduli(expr: SetExpr) -> list:
 
 
 def admissible_points(expr: SetExpr) -> Tuple[int, ...]:
-    """Substitution points valid for check_card on this expression; the
-    record built here is the one check_card then reuses for expr."""
-    prepared = _prepared(expr)
+    """Substitution points valid for check_card on this expression, each
+    carrying the record built here for check_card to read."""
+    prepared = _Prepared(expr, expr.build())
     lcm = math.lcm(prepared.record.modulus, *(_expr_moduli(expr) or [1]))
     floor = max(2, 10 * prepared.ceiling + 1)
     scale = -(floor // -lcm)  # ceil division
-    return tuple(lcm * scale * m for m in POINT_MULTIPLIERS)
+    return tuple(_Point(lcm * scale * m, prepared) for m in POINT_MULTIPLIERS)
 
 
 def sweep(seed: int, cases: int) -> Tuple[int, list]:
