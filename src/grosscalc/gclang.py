@@ -52,7 +52,8 @@ re-parsing a rendered count, set, or boolean evaluates to an equal value.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 from . import gnum, observer, oracle, posnum, setmeasure
@@ -367,21 +368,14 @@ def parse(text: str) -> Ast:
 # values
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False)
 class _DualRoute:
     """A set kept on both bookkeeping routes: the canonical residue record
-    and the expression tree it came from.  Values compare by record."""
+    and the expression tree it came from.  Equality and hash read the
+    record alone, so two trees of one set make equal values."""
 
     record: Union[NatSubset, SignedSet]
-    expr: Union[SetExpr, SignedSet]
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.record == other.record
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.record)
+    expr: Union[SetExpr, SignedSet] = field(compare=False)
 
     def __repr__(self):
         return f"{type(self).__name__}<{self.record}>"
@@ -434,10 +428,22 @@ def _is_number(v) -> bool:
     return isinstance(v, _COUNTS)
 
 
-def _want_number(v, what: str, minimum=None) -> GrossNumber:
-    if not _is_number(v):
-        raise EvalError(f"{what} must be a count, got {type_tag(v)}")
-    return v
+def _want(kinds, message: str):
+    """A check that passes a value of kinds as it is and refuses any other
+    with message, given the argument's name (what) and the value's tag."""
+
+    def check(v, what=None, minimum=None):
+        if isinstance(v, kinds):
+            return v
+        raise EvalError(message.format(what=what, tag=type_tag(v)))
+
+    return check
+
+
+_want_number = _want(_COUNTS, "{what} must be a count, got {tag}")
+_want_set = _want(_DualRoute, "{what} expects a set, got {tag}")
+_want_numeral = _want(posnum.InfNumeral, "{what} must be a numeral, got {tag}")
+_want_system = _want(CountingSystem, "expected a counting system, got {tag}")
 
 
 def _want_length(v, what: str, minimum=None) -> Union[GrossNumber, CritRef]:
@@ -455,29 +461,11 @@ def _want_int(v, what: str, minimum: Optional[int] = None) -> int:
     return n
 
 
-def _want_set(v, what: str, minimum=None) -> _DualRoute:
-    if not isinstance(v, _DualRoute):
-        raise EvalError(f"{what} expects a set, got {type_tag(v)}")
-    return v
-
-
 def _want_nat_set(v, what: str, minimum=None) -> MeasuredSet:
     if isinstance(v, SignedMeasured):
         raise EvalError(f"{what} must be a subset of N, not of Z")
     if not isinstance(v, MeasuredSet):
         raise EvalError(f"{what} must be a set, got {type_tag(v)}")
-    return v
-
-
-def _want_numeral(v, what: str, minimum=None) -> posnum.InfNumeral:
-    if not isinstance(v, posnum.InfNumeral):
-        raise EvalError(f"{what} must be a numeral, got {type_tag(v)}")
-    return v
-
-
-def _want_system(v, what=None, minimum=None) -> CountingSystem:
-    if not isinstance(v, CountingSystem):
-        raise EvalError(f"expected a counting system, got {type_tag(v)}")
     return v
 
 
@@ -489,10 +477,13 @@ def _want_weak_operand(v, what=None, minimum=None):
     raise EvalError(f"expected a numeral token or count, got {type_tag(v)}")
 
 
+def _signed(op, *sets: _DualRoute) -> SignedMeasured:
+    """op, one route-generic setmeasure function, on the records and on the trees."""
+    return SignedMeasured(op(*(s.record for s in sets)), op(*(s.expr for s in sets)))
+
+
 def _as_signed(v: _DualRoute) -> SignedMeasured:
-    if isinstance(v, SignedMeasured):
-        return v
-    return SignedMeasured(setmeasure.lift_signed(v.record), setmeasure.lift_signed(v.expr))
+    return v if isinstance(v, SignedMeasured) else _signed(setmeasure.lift_signed, v)
 
 
 def _call_num(base, length, *fields):
@@ -523,8 +514,7 @@ _CALLS = {
                  (_want_nat_set, "the second argument of prodcard", None)),
     "ap": (lambda a, d: MeasuredSet(setmeasure.progression(a, d), ProgressionE(a, d)),
            (_want_int, "the progression start", 1), (_want_int, "the progression step", 1)),
-    "mirror": (lambda s: SignedMeasured(setmeasure.mirror_signed(s.record),
-                                        setmeasure.mirror_signed(s.expr)),
+    "mirror": (lambda s: _signed(setmeasure.mirror_signed, s),
                (_want_nat_set, "the argument of mirror", None)),
     "numerals": (lambda b, n: posnum.numeral_count(b, n),
                  _BASE, (_want_length, "the digit length", None)),
@@ -591,11 +581,7 @@ def _eval_setop(op, a, b):
         return MeasuredSet(
             setmeasure.combine(op, a.record, b.record), CombineE(op, a.expr, b.expr)
         )
-    a, b = _as_signed(a), _as_signed(b)
-    return SignedMeasured(
-        setmeasure.combine_signed(op, a.record, b.record),
-        setmeasure.combine_signed(op, a.expr, b.expr),
-    )
+    return _signed(partial(setmeasure.combine_signed, op), _as_signed(a), _as_signed(b))
 
 
 def _eval_cmp(op, a, b):
@@ -627,15 +613,11 @@ def _eval_set_literal(elems):
             has_zero = True
         else:
             negatives.add(-n)
-    pos = MeasuredSet(
-        setmeasure.finite_set(positives), FiniteSetE(frozenset(positives))
-    )
+    pos = MeasuredSet(setmeasure.finite_set(positives), FiniteSetE(frozenset(positives)))
     if not negatives and not has_zero:
         return pos
-    return SignedMeasured(
-        SignedSet(setmeasure.finite_set(negatives), has_zero, pos.record),
-        SignedSet(FiniteSetE(frozenset(negatives)), has_zero, pos.expr),
-    )
+    neg = MeasuredSet(setmeasure.finite_set(negatives), FiniteSetE(frozenset(negatives)))
+    return _signed(lambda below, above: SignedSet(below, has_zero, above), neg, pos)
 
 
 def evaluate(ast: Ast, env: Dict[str, Value]) -> Value:
@@ -689,9 +671,7 @@ def evaluate(ast: Ast, env: Dict[str, Value]) -> Value:
         if isinstance(v, MeasuredSet):
             return MeasuredSet(setmeasure.complement(v.record), ComplementE(v.expr))
         if isinstance(v, SignedMeasured):
-            return SignedMeasured(
-                setmeasure.complement_signed(v.record), setmeasure.complement_signed(v.expr)
-            )
+            return _signed(setmeasure.complement_signed, v)
         raise EvalError(f"~ expects a set, got {type_tag(v)}")
     if kind is Cmp:
         return _eval_cmp(ast.op, evaluate(ast.left, env), evaluate(ast.right, env))

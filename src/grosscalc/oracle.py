@@ -12,7 +12,8 @@ expression tree: the calculator passes the record a value printed.
 check_card takes a bare tree and builds its record, unless L is one of the
 points admissible_points returned for that same tree object: each such
 point carries the record it was computed from, so checking a tree at each
-of its admissible points builds it once.
+of its admissible points builds it once.  Natural and signed trees get
+admissible points alike.
 """
 from __future__ import annotations
 
@@ -278,21 +279,24 @@ def random_set_expr(rng: random.Random, depth: int = 4) -> SetExpr:
     return CombineE(op, random_set_expr(rng, depth - 1), random_set_expr(rng, depth - 1))
 
 
-def _expr_moduli(expr: SetExpr) -> list:
+def _expr_moduli(expr: Union[SetExpr, SignedSet]) -> list:
     if isinstance(expr, ProgressionE):
         return [expr.step]
     if isinstance(expr, CombineE):
         return _expr_moduli(expr.left) + _expr_moduli(expr.right)
     if isinstance(expr, ComplementE):
         return _expr_moduli(expr.inner)
+    if isinstance(expr, SignedSet):
+        return _expr_moduli(expr.negatives) + _expr_moduli(expr.positives)
     return []
 
 
-def admissible_points(expr: SetExpr) -> Tuple[int, ...]:
+def admissible_points(expr: Union[SetExpr, SignedSet]) -> Tuple[int, ...]:
     """Substitution points valid for check_card on this expression, each
-    carrying the record built here for check_card to read."""
+    carrying the record built here for check_card to read.  The lcm of the
+    tree's steps is a multiple of every canonical modulus of its record."""
     prepared = _Prepared(expr, expr.build())
-    lcm = math.lcm(prepared.record.modulus, *(_expr_moduli(expr) or [1]))
+    lcm = math.lcm(*_expr_moduli(expr))
     floor = max(2, 10 * prepared.ceiling + 1)
     scale = -(floor // -lcm)  # ceil division
     return tuple(_Point(lcm * scale * m, prepared) for m in POINT_MULTIPLIERS)

@@ -90,6 +90,13 @@ class TestEval:
         assert r.returncode == 0
         assert r.stdout.strip() == "2*G + 1"
 
+    @pytest.mark.parametrize("flag", ["L=x", "L=0", "12"])
+    def test_oracle_flag_refuses_a_bad_point(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--oracle", flag, "eval", "1"])
+        assert exit_.value.code == 2
+        assert "expected L=<positive integer>" in capsys.readouterr().err
+
 
 class TestRun:
     def test_script_with_bindings_and_comments(self, tmp_path):
@@ -197,6 +204,14 @@ class TestRepl:
         assert r.returncode == 0
         assert "2" in r.stdout
         assert "DivisionByZero" in r.stderr
+
+    def test_blank_and_comment_lines_are_skipped(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n   \n# card(N)\n  # 1/0\ncard(Z)\n"))
+        assert cli.main([]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        # one prompt per line read, then EOF; only card(Z) prints an answer
+        assert captured.out.split("gc> ")[1:] == ["", "", "", "", "2*G + 1\n", "\n"]
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -718,3 +718,44 @@ def test_equal_values_hash_equal(x):
     hash(x)  # one side caches its hash first
     for twin in (rebuilt, GrossPoly(x.terms), gclang.SetCount(x.terms, source=counted)):
         assert twin == x and hash(twin) == hash(x)
+
+
+def _outcome(thunk):
+    """thunk's value, or the kind and text of the GrossError it raises."""
+    try:
+        return thunk()
+    except errors.GrossError as err:
+        return type(err), str(err)
+
+
+EXP = pow_count(2, G)
+
+
+@pytest.mark.parametrize(
+    "operator, function, want",
+    [
+        (lambda: 1 - G, lambda: sub(ONE, G), -(G - 1)),
+        (lambda: Fraction(1, 2) - G, lambda: sub(fin(Fraction(1, 2)), G), fin(Fraction(1, 2)) - G),
+        (lambda: 3 - EXP, lambda: sub(fin(3), EXP), (errors.UnsupportedSum, "subtracting an "
+         "exponential count from a polynomial leaves the closure")),
+        (lambda: 1 / G, lambda: div_exact(ONE, G), G ** -1),
+        (lambda: 6 / (2 * G), lambda: div_exact(fin(6), mul(fin(2), G)), 3 * G ** -1),
+        (lambda: G < EXP, lambda: compare(G, EXP) is Ordering.LESS, True),
+        (lambda: EXP < G, lambda: compare(EXP, G) is Ordering.LESS, False),
+        (lambda: EXP <= EXP, lambda: compare(EXP, EXP) is not Ordering.GREATER, True),
+        (lambda: G <= 5, lambda: compare(G, fin(5)) is not Ordering.GREATER, False),
+        (lambda: EXP > G, lambda: compare(EXP, G) is Ordering.GREATER, True),
+        (lambda: G > G + 1, lambda: compare(G, G + 1) is Ordering.GREATER, False),
+        (lambda: G >= G, lambda: compare(G, G) is not Ordering.LESS, True),
+        (lambda: G >= EXP, lambda: compare(G, EXP) is not Ordering.LESS, False),
+        (lambda: str(G / 2 + 1), lambda: render_gross(G / 2 + 1), "G/2 + 1"),
+        (lambda: str(3 * EXP), lambda: render_gross(3 * EXP), "3*2^G"),
+    ],
+    ids=["1 - G", "1/2 - G", "3 - 2^G", "1 / G", "6 / 2G", "G < 2^G", "2^G < G",
+         "2^G <= 2^G", "G <= 5", "2^G > G", "G > G + 1", "G >= G", "G >= 2^G",
+         "str(G/2 + 1)", "str(3*2^G)"],
+)
+def test_python_operators_agree_with_the_module_functions(operator, function, want):
+    """The count types' Python operators, the reflected ones and
+    GrossPoly.__rtruediv__ included, against the functions they wrap."""
+    assert _outcome(operator) == _outcome(function) == want

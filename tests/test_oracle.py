@@ -49,7 +49,9 @@ from grosscalc.setmeasure import (
     UNIVERSE_Z_E,
     UniverseNE,
     lift_signed,
+    mirror_signed,
 )
+from test_brute_mask import signed_trees
 
 
 class TestIntLogFloor:
@@ -211,6 +213,26 @@ class TestAdmissiblePoints:
         for L in admissible_points(expr):
             report = check_card(expr, L)  # must not raise InvalidL
             assert report.match
+
+    @pytest.mark.parametrize(
+        "tree, points",
+        [
+            (UNIVERSE_Z_E, (2, 4, 6)),
+            (lift_signed(ProgressionE(2, 3)), (3, 6, 9)),
+            (mirror_signed(ProgressionE(1, 4)), (4, 8, 12)),
+            (SignedSet(ProgressionE(5, 4), True, ComplementE(ProgressionE(7, 6))), (12, 24, 36)),
+        ],
+    )
+    def test_signed_trees_get_points(self, tree, points):
+        assert admissible_points(tree) == points
+        for L in points:
+            assert check_card(tree, L).match
+
+    @given(signed_trees)
+    @settings(max_examples=100, deadline=None)
+    def test_random_signed_trees_always_get_valid_points(self, tree):
+        for L in admissible_points(tree):
+            assert check_card(tree, L).match  # must not raise InvalidL
 
 
 @pytest.fixture

@@ -79,6 +79,8 @@ BRANCHES = (
     "let card = 1", "N == N", "ap(1,2) == mirror(N)", "ap(1,2) < N", "~mirror(N)",
     "~({0} | ap(1,2))", "true == false", "observe(piraha, 3) == observe(piraha, 4)",
     "wadd(piraha, 1, 1) == wadd(piraha, 2, 2)", "observe(piraha, 1) == 1",
+    "(1/2)^G", "2^(1/2)", "2^(2^G)", "2^(2*G) / 2^G", "true + 1", "piraha * 2", "num(2, 3) - 1",
+    "1 - true",
 )
 ORACLE_BRANCHES = ("~mirror(N)", "~({0} | ap(1,2))", "2^crit(2, G)")
 
