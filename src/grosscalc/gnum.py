@@ -20,27 +20,27 @@ raise an error from :mod:`grosscalc.errors` instead of approximating, and
 comparisons the closure cannot decide raise :class:`Undetermined` rather than
 guessing.
 
-Each GrossPoly stores what canonicalization asks of it again and again, so
-that no question walks its nested terms twice: its exponent depth; its hash,
-computed on first use; and an order key, a nested tuple built on first use
-that orders exactly as the values do, so ``_canon`` sorts by it and
-``_cmp_poly`` is one tuple comparison.  One function, ``_order_key``, builds
-the keys of a value and of its negation, which a negative term needs for its
-exponent.  The facts live on the value and go with it: there is no table of
-values and no memo that outlives an operation.  Arithmetic builds its
-results through ``_poly``, which writes the fields straight into the
-instance and takes the depth from the operands where it is exact by
-construction: a negation or a scaling keeps its operand's depth, and a sum
-in which no coefficient cancels takes the larger of the two.  A cancelled
-term may take the deepest exponent with it, so such a sum, like every other
-result, scans its exponents' stored depths.  A sum merges the two sorted
-term lists in one pass, comparing exponents by their order keys.  A product
-by a rational scales the other side's terms.  Any other product adds each
-pair of rational exponents as rationals, under an int or ``_fraction_key``
-key, and since finite exponents order as their rationals do, those terms
-come out sorted by the rational, with no canonicalization; only pairs with
-a non-rational exponent add polynomials, and then one ``_canon`` takes
-every term.
+Each GrossPoly keeps what canonicalization asks of it again and again, so
+that no question walks its nested terms twice: its exponent depth, its hash
+and an order key, a nested tuple that orders exactly as the values do, so
+``_canon`` sorts by it and ``_cmp_poly`` is one tuple comparison.  Each is
+worked out on first use and written into the value's ``__dict__``.  One
+function, ``_order_key``, builds the keys of a value and of its negation,
+which a negative term needs for its exponent.  The facts live on the value
+and go with it: there is no table of values and no memo that outlives an
+operation.  Only the builders that take an exponent from outside, ``gterm``,
+``make_poly`` and the constructor, read the depth, to refuse one past
+``MAX_EXPONENT_DEPTH``.  Arithmetic builds its results through ``_poly``,
+which writes the terms straight into the instance and checks nothing: a
+result only reuses its operands' exponents, their sums or differences, or
+finite constants, so it nests no deeper than its deepest operand.  A sum
+merges the two sorted term lists in one pass, comparing exponents by their
+order keys.  A product by a rational scales the other side's terms.  Any
+other product adds each pair of rational exponents as rationals, under an
+int or ``_fraction_key`` key, and since finite exponents order as their
+rationals do, those terms come out sorted by the rational, with no
+canonicalization; only pairs with a non-rational exponent add polynomials,
+and then one ``_canon`` takes every term.
 
 Exponential counts relate to one another through three rules, one function
 each, and each refuses with ExponentTooLarge a power past its cap:
@@ -255,25 +255,24 @@ class GrossPoly(_Arithmetic):
     values through :func:`make_poly`, :func:`fin` or the arithmetic
     operators rather than the raw constructor.
 
-    The public constructor computes the exponent depth from the exponents'
-    stored ``_depth`` and refuses one past ``MAX_EXPONENT_DEPTH``.  The
-    module's arithmetic builds values through ``_poly`` instead, which skips
-    the dataclass machinery and takes the depth from its operands where that
-    is exact (negations, scalings, sums with no cancelled term) and scans it
-    otherwise.  The hash and the order keys of the value and of its negation
-    are built on first use and kept on the value: many values, such as the
-    finite counts of set measurement, are never hashed or ordered.
+    The public constructor refuses an exponent depth past
+    ``MAX_EXPONENT_DEPTH``.  The module's arithmetic builds values through
+    ``_poly`` instead, which skips the dataclass machinery and the check.
+    The depth, the hash and the order keys of the value and of its negation
+    are worked out on first use and kept on the value: many values, such as
+    the finite counts of set measurement, are never hashed or ordered.
     """
 
     terms: Tuple[Tuple[Union[int, Fraction], "GrossPoly"], ...] = ()
 
-    # filled in on first use by __hash__ and _order_key (of p and of -p)
+    # filled in on first use by _depth, __hash__ and _order_key (of p and -p)
+    _depth = None
     _hash = None
     _key = None
     _neg_key = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_depth", _scan_depth(self.terms))
+        _check_depth(self)
 
     # structure probes
 
@@ -328,36 +327,36 @@ class GrossPoly(_Arithmetic):
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self.terms)
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = hash(self.terms)
         return h
 
     def __bool__(self):
         return bool(self.terms)
 
 
-def _scan_depth(terms) -> int:
-    """The exponent depth of canonical terms, from their exponents' stored
-    depths; DepthLimitExceeded past MAX_EXPONENT_DEPTH."""
-    depth = 1 + max([exp._depth for _, exp in terms]) if terms else 0
-    if depth > MAX_EXPONENT_DEPTH:
-        raise DepthLimitExceeded(
-            f"exponent nesting deeper than {MAX_EXPONENT_DEPTH} is not supported"
-        )
+def _depth(p: GrossPoly) -> int:
+    """The exponent depth of p, worked out on first use and kept on p and on
+    each exponent below it, which values share."""
+    depth = p._depth
+    if depth is None:
+        depth = p.__dict__["_depth"] = 1 + max([_depth(e) for _, e in p.terms]) if p.terms else 0
     return depth
 
 
-def _poly(terms, depth: Optional[int] = None) -> GrossPoly:
+def _check_depth(p: GrossPoly) -> GrossPoly:
+    """p itself, or DepthLimitExceeded past MAX_EXPONENT_DEPTH."""
+    if _depth(p) > MAX_EXPONENT_DEPTH:
+        raise DepthLimitExceeded(
+            f"exponent nesting deeper than {MAX_EXPONENT_DEPTH} is not supported"
+        )
+    return p
+
+
+def _poly(terms) -> GrossPoly:
     """A plain GrossPoly of canonical terms, written straight into its
-    ``__dict__``.  A caller passes the depth only where it is exact by
-    construction; without one the terms are scanned, as the public
-    constructor does."""
-    if depth is None:
-        depth = _scan_depth(terms)
+    ``__dict__``, with no depth check."""
     p = object.__new__(GrossPoly)
-    fields = p.__dict__
-    fields["terms"] = terms
-    fields["_depth"] = depth
+    p.__dict__["terms"] = terms
     return p
 
 
@@ -371,7 +370,7 @@ def fin(value) -> GrossPoly:
     coeff = _exact(value)
     if not coeff:
         return ZERO
-    return _poly(((coeff, ZERO),), 1)
+    return _poly(((coeff, ZERO),))
 
 
 def gterm(coeff, exp: GrossPoly) -> GrossPoly:
@@ -379,12 +378,12 @@ def gterm(coeff, exp: GrossPoly) -> GrossPoly:
     coeff = _exact(coeff)
     if not coeff:
         return ZERO
-    return _poly(((coeff, exp),))
+    return _check_depth(_poly(((coeff, exp),)))
 
 
 def make_poly(pairs: Iterable[Tuple[Union[int, Fraction], GrossPoly]]) -> GrossPoly:
     """Canonicalize arbitrary ``(coeff, exponent)`` pairs into a GrossPoly."""
-    return _canon(pairs)
+    return _check_depth(_canon(pairs))
 
 
 def _canon(pairs) -> GrossPoly:
@@ -422,7 +421,7 @@ def _order_key(p: GrossPoly, sign: int = 1) -> tuple:
             ],
             _KEY_END,
         )
-        object.__setattr__(p, "_key" if sign > 0 else "_neg_key", key)
+        p.__dict__["_key" if sign > 0 else "_neg_key"] = key
     return key
 
 
@@ -438,13 +437,11 @@ def _padd(x: GrossPoly, y: GrossPoly) -> GrossPoly:
     """x + y in O(n + m): one merge of the sorted term lists by order key.
 
     No hash and no sort; the result is always a fresh plain GrossPoly, so a
-    SetCount plus zero is a plain count.  Every exponent survives unless a
-    coefficient cancels, so only then is the depth scanned."""
+    SetCount plus zero is a plain count."""
     xs, ys = x.terms, y.terms
     n, m = len(xs), len(ys)
     out = []
     i = j = 0
-    cancelled = False
     while i < n and j < m:
         cx, ex = xs[i]
         cy, ey = ys[j]
@@ -461,17 +458,13 @@ def _padd(x: GrossPoly, y: GrossPoly) -> GrossPoly:
         c = cx + cy
         if c:
             out.append((_exact(c), ex))
-        else:
-            cancelled = True
         i += 1
         j += 1
-    terms = (*out, *xs[i:], *ys[j:])
-    # a cancelled term may take the deepest exponent with it
-    return _poly(terms, None if cancelled else max(x._depth, y._depth))
+    return _poly((*out, *xs[i:], *ys[j:]))
 
 
 def _pneg(x: GrossPoly) -> GrossPoly:
-    return _poly(tuple([(-c, e) for c, e in x.terms]), x._depth)
+    return _poly(tuple([(-c, e) for c, e in x.terms]))
 
 
 def _psub(x: GrossPoly, y: GrossPoly) -> GrossPoly:
@@ -484,7 +477,7 @@ def _pscale(x: GrossPoly, factor: Union[int, Fraction]) -> GrossPoly:
         return ZERO
     if factor == 1 and type(x) is GrossPoly:
         return x
-    return _poly(tuple([(_exact(c * factor), e) for c, e in x.terms]), x._depth)
+    return _poly(tuple([(_exact(c * factor), e) for c, e in x.terms]))
 
 
 def _fraction_key(r: Fraction):
@@ -841,7 +834,8 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     MAX_POWER_BITS, or an infinite one, which yields 0, 1 or the count
     ``b^k`` of an integer base b >= 2.  A pure power of G takes any exponent,
     since exponents multiply.  Any other base takes finite non-negative
-    integer exponents, unrolled into at most MAX_UNROLL products.
+    integer exponents n, unrolled into at most MAX_UNROLL products, with n
+    times its widest coefficient's bits at most MAX_POWER_BITS.
     """
     k = _coerce(k)
     # a pure power of G (a nonzero exponent is truthy): exponents multiply
@@ -878,6 +872,9 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
             f"{count_text(x)} only takes finite non-negative integer powers"
         )
     refuse(ExponentTooLarge, n, "MAX_UNROLL", "products in a power of {}", x)
+    coeffs = [x.multiplier] if isinstance(x, ExpCount) else [c for c, _ in x.terms]
+    width = max(max(abs(c.numerator), c.denominator).bit_length() for c in coeffs)
+    refuse(ExponentTooLarge, n * width, "MAX_POWER_BITS", "coefficient bits of ({})^{}", x, n)
     out = ONE
     for _ in range(n):
         out = mul(out, x)

@@ -176,6 +176,10 @@ ROWS = [
     # past the materialize cap is refused at once
     *(Row(f"exponent gap: {text}", gc("eval"), text, kind("ExponentTooLarge"))
       for text in ("2^(G + 1000000000) / 2^G", "3^(G + 100000000) + 3^G")),
+    # a power whose coefficients would pass the materialize cap is refused
+    # before it unrolls a product
+    *(Row(f"coefficient bound: {text}", gc("eval"), text, kind("ExponentTooLarge"), 2)
+      for text in ("(10^4000*G)^512", "(10^4000*G + 1)^128")),
     # integers past 4300 digits and far progression starts are refused typed
     # on every version, and so is a cross-power comparison whose multiplier
     # power the exponent's denominator would blow up; a comparison or other

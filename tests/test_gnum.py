@@ -96,18 +96,15 @@ def tower(levels: int) -> GrossPoly:
 class TestDepth:
     def test_depth_kept_where_no_term_cancels(self):
         t = tower(8)
-        assert t._depth == 8
-        for value in (t + 1, -t, 2 * t, t * Fraction(1, 3), t - G, t + t):
-            assert value._depth == 8
+        for value in (t, t + 1, -t, 2 * t, t * Fraction(1, 3), t - G, t + t):
+            with pytest.raises(errors.DepthLimitExceeded):
+                gterm(1, value)
 
     def test_a_cancelled_term_takes_its_depth_with_it(self):
         t = tower(8)
-        assert ((t - t) + G)._depth == 2
-        assert ((t + G) - t)._depth == 2
-        assert ((G + t) + (-t))._depth == 2
-        # so one more level of exponent is accepted
-        assert render_gross(gterm(1, (t - t) + G)) == "G^(G)"
-        assert render_gross(gterm(1, (t + G) - t)) == "G^(G)"
+        # a tower that cancels leaves room for one more level of exponent
+        for value in ((t - t) + G, (t + G) - t, (G + t) + (-t)):
+            assert render_gross(gterm(1, value)) == "G^(G)"
 
     def test_one_more_level_is_refused(self):
         t = tower(8)
@@ -536,19 +533,15 @@ deep_polys = st.recursive(
 
 
 def scanned_depth(p: GrossPoly) -> int:
-    """The exponent depth of p, from the terms and not from stored depths."""
+    """The exponent depth of p, walked from the terms."""
     return 1 + max(scanned_depth(e) for _, e in p.terms) if p.terms else 0
 
 
-def assert_depth_exact(p: GrossPoly) -> None:
-    assert p._depth == scanned_depth(p)
-    for _, e in p.terms:
-        assert_depth_exact(e)
-
-
+# arithmetic builds its results with no depth check, which is safe because
+# no result nests deeper than its deepest operand
 @given(deep_polys, deep_polys, coeffs)
 @settings(max_examples=150)
-def test_stored_depth_is_exact(x, y, c):
+def test_no_result_nests_deeper_than_its_operands(x, y, c):
     results = [
         add(x, y), sub(x, y), sub(add(x, y), y), add(x, neg(x)), neg(x),
         mul(x, fin(c)), mul(fin(c), y), mul(x, ONE), mul(x, y),
@@ -558,8 +551,9 @@ def test_stored_depth_is_exact(x, y, c):
             results.append(div_exact(x, divisor))
         except (errors.NonExactDivision, errors.DivisionByZero):
             pass
-    for value in (x, y, *results):
-        assert_depth_exact(value)
+    deepest = max(map(scanned_depth, (x, y, fin(c))))
+    for value in results:
+        assert scanned_depth(value) <= deepest
 
 
 @given(polys, polys)

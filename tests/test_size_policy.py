@@ -1,10 +1,11 @@
-"""The size policy: gnum.MAX_POWER_BITS bounds every exact power computed,
-gnum.MAX_ITEMS everything listed, lifted, skipped or expanded one by one,
-gnum.MAX_DIGITS every integer written or read and gnum.MAX_UNROLL the
-products of a power.  Every guard is one gnum.refuse call, so each refusal
-has one shape, ``what: size past CAP = value``, that names the cap it hit
-and any integer however long.  Each guard passes at its cap and refuses one
-past it, and lowering a cap in gnum moves every guard and message on it."""
+"""The size policy: gnum.MAX_POWER_BITS bounds every exact power computed
+and the coefficients of an unrolled power, gnum.MAX_ITEMS everything
+listed, lifted, skipped or expanded one by one, gnum.MAX_DIGITS every
+integer written or read and gnum.MAX_UNROLL the products of a power.  Every
+guard is one gnum.refuse call, so each refusal has one shape, ``what: size
+past CAP = value``, that names the cap it hit and any integer however long.
+Each guard passes at its cap and refuses one past it, and lowering a cap in
+gnum moves every guard and message on it."""
 
 import json
 import re
@@ -37,6 +38,7 @@ AT_CAP = [
     ("card(N \\ ap(1, 1000000))", "999999*G/1000000"),
     ("card((N \\ ap(1, 17)) & (N \\ ap(1, 62501)))", "1000000*G/1062517"),
     ("card(~ap(1, 1000001))", "1000000*G/1000001"),
+    ("(2^3999*G)^250 > G", "true"),
 ]
 
 
@@ -127,6 +129,12 @@ PAST_CAP = [
         "numerals enumerated: 1000001 past MAX_ITEMS = 1000000",
     ),
     ("(G + 1)^513", "ExponentTooLarge", "products in a power of G + 1: 513 past MAX_UNROLL = 512"),
+    pytest.param(
+        "(2^1999*G)^501",
+        "ExponentTooLarge",
+        f"coefficient bits of ({2 ** 1999}*G)^501: 1002000 past MAX_POWER_BITS = 1000000",
+        id="coefficient-bits-of-a-power",
+    ),
     pytest.param(
         "1" * 4301,
         "RepresentationLimit",
