@@ -67,11 +67,10 @@ class NonIntegerExponent(GrossError):
 
 
 class ExponentTooLarge(GrossError):
-    """An exact power past a cap of gnum: its bit bound past MAX_POWER_BITS
-    (a finite power, the coefficients of an unrolled power, the gap between
-    two exponential counts, a cross-power or critical-length comparison, a
-    substitution G := L), or a power of a multi-term value that would
-    unroll past MAX_UNROLL products."""
+    """An exact power whose bit bound passes gnum.MAX_POWER_BITS: a finite
+    power, the terms times coefficient bits of a power of a count, the gap
+    between two exponential counts, a cross-power or critical-length
+    comparison, a substitution G := L."""
 
 
 class CritRefNotSubstitutable(GrossError):

@@ -73,6 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
@@ -101,9 +102,6 @@ MAX_POWER_BITS = 10 ** 6
 # The most residue classes, elements, digits or numerals listed, lifted,
 # skipped or expanded one by one, and the largest oracle point enumerated.
 MAX_ITEMS = 10 ** 6
-
-# Powers of multi-term values are unrolled into at most this many products.
-MAX_UNROLL = 512
 
 # Integers are written as, or read from, at most this many decimal digits:
 # CPython 3.11's default int/str limit, fixed here rather than read from the
@@ -834,32 +832,29 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     MAX_POWER_BITS, or an infinite one, which yields 0, 1 or the count
     ``b^k`` of an integer base b >= 2.  A pure power of G takes any exponent,
     since exponents multiply.  Any other base takes finite non-negative
-    integer exponents n, unrolled into at most MAX_UNROLL products, with n
-    times its widest coefficient's bits at most MAX_POWER_BITS.
+    integer exponents n, under one bound on the size of x^n taken before any
+    product.  Written as P/D, with D the lcm of its denominators and S the
+    sum of P's absolute coefficients, a base of k terms has a power of at
+    most C(n + k - 1, k - 1) terms, each coefficient of at most n times the
+    bits of S or of D; terms times bits is at most MAX_POWER_BITS.  One term
+    ``c*G^e`` or ``m*b^e`` gives ``c^n*G^(n*e)`` or ``m^n*b^(n*e)`` in one
+    step; more terms, or a critical exponent, are multiplied out n times.
     """
     k = _coerce(k)
-    # a pure power of G (a nonzero exponent is truthy): exponents multiply
-    if isinstance(x, GrossPoly) and len(x.terms) == 1 and x.terms[0][0] == 1 and x.terms[0][1]:
-        exponent = mul(x.terms[0][1], k)
-        if not isinstance(exponent, GrossPoly):
-            raise UnsupportedPower(
-                f"power {count_text(k)} of {count_text(x)} leaves the gross polynomials"
-            )
-        return gterm(1, exponent)
     r = x.as_rational() if isinstance(x, GrossPoly) else None
     finite = isinstance(k, GrossPoly) and k.as_rational() is not None
-    if r is not None and not finite:
-        if r == 1:
-            return ONE
-        if r == 0:
-            return ZERO
-        if r.denominator == 1 and r >= 2:
-            return pow_count(int(r), k)
-        raise UnsupportedPower(
-            f"{count_text(x)} has no closed power for an infinite exponent"
-        )
     n = k.as_int() if finite else None
     if r is not None:
+        if not finite:
+            if r == 1:
+                return ONE
+            if r == 0:
+                return ZERO
+            if r.denominator == 1 and r >= 2:
+                return pow_count(int(r), k)
+            raise UnsupportedPower(
+                f"{count_text(x)} has no closed power for an infinite exponent"
+            )
         if n is None:
             raise NonIntegerExponent("finite exponents must be integers")
         if r == 0 and n < 0:
@@ -867,14 +862,34 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
         refuse(ExponentTooLarge, max(abs(r.numerator), r.denominator).bit_length() * abs(n),
                "MAX_POWER_BITS", "bit bound of {}^{}", r, n)
         return fin(Fraction(r) ** n)
-    if n is None or n < 0:
-        raise UnsupportedPower(
-            f"{count_text(x)} only takes finite non-negative integer powers"
-        )
-    refuse(ExponentTooLarge, n, "MAX_UNROLL", "products in a power of {}", x)
-    coeffs = [x.multiplier] if isinstance(x, ExpCount) else [c for c, _ in x.terms]
-    width = max(max(abs(c.numerator), c.denominator).bit_length() for c in coeffs)
-    refuse(ExponentTooLarge, n * width, "MAX_POWER_BITS", "coefficient bits of ({})^{}", x, n)
+    terms = x.terms if isinstance(x, GrossPoly) else ((x.multiplier, x.exponent), *x.tail.terms)
+    coeff, exp = terms[0]
+    # a pure power of G takes any exponent, every other base one guard
+    if not (coeff == 1 and len(terms) == 1 and isinstance(x, GrossPoly)):
+        if n is None or n < 0:
+            raise UnsupportedPower(
+                f"{count_text(x)} only takes finite non-negative integer powers"
+            )
+        d = lcm(*[c.denominator for c, _ in terms])
+        s = sum([abs(c.numerator) * (d // c.denominator) for c, _ in terms])
+        bits = n * max(s.bit_length(), d.bit_length())
+        # the term count grows as n^(k - 1): a width past the cap alone is
+        # refused without it
+        count = comb(n + len(terms) - 1, len(terms) - 1) if bits <= MAX_POWER_BITS else 1
+        refuse(ExponentTooLarge, count * bits, "MAX_POWER_BITS", "coefficient bits of ({})^{}", x, n)
+    # one term: exponents multiply, for any k of a pure power of G
+    if len(terms) == 1 and isinstance(exp, GrossPoly):
+        exponent = mul(exp, k)
+        if not isinstance(exponent, GrossPoly):
+            raise UnsupportedPower(
+                f"power {count_text(k)} of {count_text(x)} leaves the gross polynomials"
+            )
+        # past the guard, a coefficient other than 1 comes with an n >= 0
+        if coeff != 1:
+            coeff = coeff ** n
+        if isinstance(x, ExpCount):
+            return ExpCount(coeff, x.base, exponent) if n else ONE
+        return gterm(coeff, exponent)
     out = ONE
     for _ in range(n):
         out = mul(out, x)

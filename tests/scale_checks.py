@@ -18,6 +18,7 @@ Wall-clock limits stay out of tier-1, so the checks run on their own:
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -85,6 +86,20 @@ def reference(k: float, work: Callable) -> float:
     return k * sorted(times)[1]
 
 
+def _env() -> dict:
+    """The environment a row runs in: this checkout's src first on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+
+
+def after_startup(seconds: float) -> Callable:
+    """A limit of seconds past the median of three start-ups of
+    ``gc eval --json 1``, so a row can bound work far below a start-up."""
+    def limit(text):
+        command = [sys.executable, *gc("eval"), "1"]
+        return seconds + reference(1, lambda: subprocess.run(command, env=_env(), stdout=subprocess.DEVNULL))
+    return limit
+
+
 def _short(text: str) -> str:
     return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} chars)"
 
@@ -108,6 +123,12 @@ def _chain():
     yield "let A = N"
     for i in range(1, 301):
         yield f"let A = A \\ ap({i}, 2000)"
+
+
+def _binomial(n: int) -> str:
+    """The rendering of (G + 1)^n."""
+    terms = [(math.comb(n, k), "G" if k == 1 else f"G^{k}" if k else "") for k in range(n, -1, -1)]
+    return " + ".join(f"{c}*{g}" if c != 1 and g else g or str(c) for c, g in terms)
 
 
 # a sum merges its two sorted term lists, and a product adds the coefficients
@@ -176,10 +197,16 @@ ROWS = [
     # past the materialize cap is refused at once
     *(Row(f"exponent gap: {text}", gc("eval"), text, kind("ExponentTooLarge"))
       for text in ("2^(G + 1000000000) / 2^G", "3^(G + 100000000) + 3^G")),
-    # a power whose coefficients would pass the materialize cap is refused
-    # before it unrolls a product
+    # a power whose terms times coefficient bits would pass the materialize
+    # cap is refused before any product; one term c*G^e is raised in one
+    # step, and (G + 1)^700, 701 terms of at most 1400 bits, multiplied out
     *(Row(f"coefficient bound: {text}", gc("eval"), text, kind("ExponentTooLarge"), 2)
       for text in ("(10^4000*G)^512", "(10^4000*G + 1)^128")),
+    Row("coefficient bound: (2^1999*G + 1)^500 > G", gc("eval"), "(2^1999*G + 1)^500 > G",
+        kind("ExponentTooLarge"), 1),
+    Row("one-step power: (2^1999*G)^500 > G", gc("eval"), "(2^1999*G)^500 > G", values("true"),
+        after_startup(0.05)),
+    Row("multi-term power: (G + 1)^700", gc("eval"), "(G + 1)^700", values(_binomial(700))),
     # integers past 4300 digits and far progression starts are refused typed
     # on every version, and so is a cross-power comparison whose multiplier
     # power the exponent's denominator would blow up; a comparison or other
@@ -254,7 +281,7 @@ def _complaint(row: Row, code: int, raw: bytes) -> Optional[str]:
 def run(rows) -> int:
     """Run every row, print one line each, and return 1 naming each row
     that failed, else 0."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    env = _env()
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, row in enumerate(rows):

@@ -10,6 +10,7 @@
   never an integral Fraction.  The four places that divide coefficients are
   pinned by name.
 """
+import math
 import random
 from fractions import Fraction
 
@@ -264,6 +265,82 @@ def test_powers_agree_with_the_fraction_reference(x, n, counted):
     assert kind == ref_kind
     if not kind:
         assert_matches(new, ref)
+
+
+# power against an n-fold product, and within its guard's bound
+
+
+non_rational_bases = (
+    st.lists(st.tuples(coeffs, exps), min_size=1, max_size=4)
+    .map(make_poly)
+    .filter(lambda p: p.as_rational() is None)
+)
+multipliers = st.one_of(
+    st.integers(min_value=1, max_value=6),
+    st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4).filter(bool),
+)
+infinite_exps = st.sampled_from((G, 2 * G, G / 2, G * G + 1, G - Fraction(1, 3)))
+
+
+@st.composite
+def exp_counts(draw):
+    """m*b^E + tail, E a polynomial or crit(b, target) + offset, with or
+    without a tail."""
+    base = draw(st.sampled_from((2, 3, 10)))
+    if draw(st.booleans()):
+        exponent = CritRef(base, draw(infinite_exps), draw(st.integers(min_value=-1, max_value=1)))
+    else:
+        exponent = draw(infinite_exps)
+    tail = draw(st.one_of(st.just(ZERO), polys))
+    return ExpCount(draw(multipliers), base, exponent, tail)
+
+
+def unrolled(x, n):
+    out = ONE
+    for _ in range(n):
+        out = gnum.mul(out, x)
+    return out
+
+
+def terms_of(x):
+    """(coefficient, exponent) pairs of a polynomial or an exponential count."""
+    if isinstance(x, GrossPoly):
+        return list(x.terms)
+    return [(x.multiplier, x.exponent), *x.tail.terms]
+
+
+def power_bound(x, n):
+    """The terms and the coefficient bits the guard allows x^n: x = P/D with
+    D the lcm of the denominators and S the sum of P's absolute coefficients."""
+    pairs = [(Fraction(c), e) for c, e in terms_of(x)]
+    d = math.lcm(*(c.denominator for c, _ in pairs))
+    s = sum(abs(c) * d for c, _ in pairs)
+    return math.comb(n + len(pairs) - 1, n), n * max(int(s).bit_length(), d.bit_length())
+
+
+def _result(build):
+    try:
+        return build(), None
+    except errors.GrossError as err:
+        return None, (type(err).__name__, str(err))
+
+
+@given(st.one_of(non_rational_bases, exp_counts()), st.integers(min_value=0, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_a_power_is_the_n_fold_product_within_its_bound(x, n):
+    new, error = _result(lambda: gnum.power(x, fin(n)))
+    ref, ref_error = _result(lambda: unrolled(x, n))
+    assert error == ref_error
+    if error:
+        return
+    assert new == ref and type(new) is type(ref)
+    assert render_gross(new) == render_gross(ref)
+    assert_exact(new)
+    terms, bits = power_bound(x, n)
+    pairs = terms_of(new)
+    assert len(pairs) <= terms
+    # x^0 is 1, one bit past a bound of 0
+    assert max(max(abs(c.numerator), c.denominator).bit_length() for c, _ in pairs) <= max(bits, 1)
 
 
 # the representation invariant

@@ -1,11 +1,11 @@
-"""The size policy: gnum.MAX_POWER_BITS bounds every exact power computed
-and the coefficients of an unrolled power, gnum.MAX_ITEMS everything
-listed, lifted, skipped or expanded one by one, gnum.MAX_DIGITS every
-integer written or read and gnum.MAX_UNROLL the products of a power.  Every
-guard is one gnum.refuse call, so each refusal has one shape, ``what: size
-past CAP = value``, that names the cap it hit and any integer however long.
-Each guard passes at its cap and refuses one past it, and lowering a cap in
-gnum moves every guard and message on it."""
+"""The size policy: gnum.MAX_POWER_BITS bounds every exact power computed,
+a power of a count by its terms times coefficient bits, gnum.MAX_ITEMS
+everything listed, lifted, skipped or expanded one by one, and
+gnum.MAX_DIGITS every integer written or read.  Every guard is one
+gnum.refuse call, so each refusal has one shape, ``what: size past CAP =
+value``, that names the cap it hit and any integer however long.  Each
+guard passes at its cap and refuses one past it, and lowering a cap in gnum
+moves every guard and message on it."""
 
 import json
 import re
@@ -39,6 +39,9 @@ AT_CAP = [
     ("card((N \\ ap(1, 17)) & (N \\ ap(1, 62501)))", "1000000*G/1062517"),
     ("card(~ap(1, 1000001))", "1000000*G/1000001"),
     ("(2^3999*G)^250 > G", "true"),
+    # 707 terms of 1412 bits
+    ("(G + 1)^706 > G", "true"),
+    ("(2^G)^1000000 == 2^(1000000*G)", "true"),
 ]
 
 
@@ -128,7 +131,13 @@ PAST_CAP = [
         "RepresentationLimit",
         "numerals enumerated: 1000001 past MAX_ITEMS = 1000000",
     ),
-    ("(G + 1)^513", "ExponentTooLarge", "products in a power of G + 1: 513 past MAX_UNROLL = 512"),
+    # 708 terms of 1414 bits
+    pytest.param(
+        "(G + 1)^707",
+        "ExponentTooLarge",
+        "coefficient bits of (G + 1)^707: 1001112 past MAX_POWER_BITS = 1000000",
+        id="terms-times-coefficient-bits-of-a-power",
+    ),
     pytest.param(
         "(2^1999*G)^501",
         "ExponentTooLarge",
@@ -174,7 +183,7 @@ def test_each_guard_refuses_one_past_its_cap(line, kind, detail, capsys):
 
 # what was measured, the size, and the cap by name and value
 SHAPE = re.compile(
-    r"[^:]+: (\d+|<\d+-bit integer>) past (MAX_ITEMS|MAX_POWER_BITS|MAX_DIGITS|MAX_UNROLL) = \d+"
+    r"[^:]+: (\d+|<\d+-bit integer>) past (MAX_ITEMS|MAX_POWER_BITS|MAX_DIGITS) = \d+"
 )
 
 
@@ -185,6 +194,21 @@ def test_every_refusal_past_a_cap_has_one_shape(capsys):
     details.append(out["oracle"].removeprefix("skipped: "))
     for detail in details:
         assert SHAPE.fullmatch(detail), detail
+
+
+def test_gnum_has_no_cap_but_depth_power_bits_items_and_digits():
+    assert sorted(name for name in vars(gnum) if name.startswith("MAX_")) == [
+        "MAX_DIGITS", "MAX_EXPONENT_DEPTH", "MAX_ITEMS", "MAX_POWER_BITS",
+    ]
+
+
+def test_a_power_whose_width_passes_the_cap_is_refused_without_its_term_count():
+    # C(n + 39, 39) of a 40-term base at n = 2^1000000 would take seconds
+    base = " + ".join(f"G^{i}" for i in range(1, 41))
+    start = time.perf_counter()
+    with pytest.raises(errors.ExponentTooLarge, match=r"past MAX_POWER_BITS = 1000000$"):
+        gclang.eval_text(f"({base})^(2^500000 * 2^500000)")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_guards_off_the_language_pass_at_the_cap_and_refuse_past_it():
@@ -313,6 +337,8 @@ class TestOneValueDrivesEverySite:
             ("subst(2^G, 32) > 1", "subst(2^G, 33)"),
             # bit_length(15) * 16 == 64
             ("subst(G^16, 15) > 1", "subst(G^17, 15)"),
+            # 6 terms of 10 bits against 7 terms of 12
+            ("(G + 1)^5 > G", "(G + 1)^6"),
         ],
     )
     def test_power_bits(self, few_bits, at_cap, past_cap):

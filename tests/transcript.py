@@ -13,9 +13,10 @@ bytes.
 The inputs come from seeded sources: the typed probe of every call in
 ``test_language_tables``, the count corpus of ``test_exact_coefficients``,
 ``let`` chains drawn here, every size-policy row past a cap, the inputs
-whose wholeness a count rule decides, a few syntax errors, one input for
-each error kind the others miss and one for each tokenizer or evaluator
-branch they miss; a share runs under ``--oracle``.
+whose wholeness a count rule decides, powers on either side of the bound on
+a power's result, a few syntax errors, one input for each error kind the
+others miss and one for each tokenizer or evaluator branch they miss; a
+share runs under ``--oracle``.
 
 A change that alters an output on purpose rewrites the file, so that
 ``git diff`` shows every changed output:
@@ -60,6 +61,10 @@ WHOLE_COUNTS = (
     "crit(2, 3*G/2)",
     "numerals(4, G/2 + 1/3)",
 )
+
+# powers of counts on either side of the bound on a power's result: values
+# of many products and a refusal of few
+POWERS = ("(G + 1)^513", "(2^G)^600", "(G^(1/97) + G^(1/89) + G^(1/83) + 1)^40")
 
 # inputs the parser refuses
 SYNTAX = (
@@ -125,7 +130,7 @@ def inputs():
     for row in test_size_policy.PAST_CAP:
         rows.append((getattr(row, "values", row)[0], None, None))
     rows.append((*test_size_policy.PAST_CAP_POINT, None))
-    rows += [(line, None, None) for line in WHOLE_COUNTS + SYNTAX + KINDS + BRANCHES]
+    rows += [(line, None, None) for line in WHOLE_COUNTS + POWERS + SYNTAX + KINDS + BRANCHES]
     rows += [(line, 12, None) for line in ORACLE_BRANCHES]
     return rows
 
