@@ -835,8 +835,11 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     integer exponents n, under one bound on the size of x^n taken before any
     product.  Written as P/D, with D the lcm of its denominators and S the
     sum of P's absolute coefficients, a base of k terms has a power of at
-    most C(n + k - 1, k - 1) terms, each coefficient of at most n times the
-    bits of S or of D; terms times bits is at most MAX_POWER_BITS.  One term
+    most C(n + k - 1, k - 1) terms, and of at most n*q*(max e - min e) + 1
+    when its exponents e are rationals of common denominator q; each
+    coefficient has at most n times the bits of S or of D, and terms times
+    bits is at most MAX_POWER_BITS.  A corrected or critical count raised
+    past 1 fails as its product with itself does.  One term
     ``c*G^e`` or ``m*b^e`` gives ``c^n*G^(n*e)`` or ``m^n*b^(n*e)`` in one
     step; more terms, or a critical exponent, are multiplied out n times.
     """
@@ -870,12 +873,21 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
             raise UnsupportedPower(
                 f"{count_text(x)} only takes finite non-negative integer powers"
             )
+        # a tail or a critical exponent leaves the closure at the first
+        # product: mul raises its own error before the size of x^n matters
+        if isinstance(x, ExpCount) and n >= 2 and (x.tail.terms or isinstance(exp, CritRef)):
+            mul(x, x)
         d = lcm(*[c.denominator for c, _ in terms])
         s = sum([abs(c.numerator) * (d // c.denominator) for c, _ in terms])
         bits = n * max(s.bit_length(), d.bit_length())
         # the term count grows as n^(k - 1): a width past the cap alone is
         # refused without it
         count = comb(n + len(terms) - 1, len(terms) - 1) if bits <= MAX_POWER_BITS else 1
+        es = [e.as_rational() for _, e in terms] if isinstance(x, GrossPoly) else [None]
+        if None not in es:
+            # the exponents of x^n are multiples of 1/q from n*min to n*max
+            q = lcm(*[e.denominator for e in es])
+            count = min(count, int(n * q * (max(es) - min(es))) + 1)
         refuse(ExponentTooLarge, count * bits, "MAX_POWER_BITS", "coefficient bits of ({})^{}", x, n)
     # one term: exponents multiply, for any k of a pure power of G
     if len(terms) == 1 and isinstance(exp, GrossPoly):

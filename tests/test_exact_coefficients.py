@@ -311,11 +311,18 @@ def terms_of(x):
 
 def power_bound(x, n):
     """The terms and the coefficient bits the guard allows x^n: x = P/D with
-    D the lcm of the denominators and S the sum of P's absolute coefficients."""
+    D the lcm of the denominators and S the sum of P's absolute coefficients.
+    Rational exponents e of common denominator q leave at most
+    n*q*(max e - min e) + 1 exponents in x^n."""
     pairs = [(Fraction(c), e) for c, e in terms_of(x)]
     d = math.lcm(*(c.denominator for c, _ in pairs))
     s = sum(abs(c) * d for c, _ in pairs)
-    return math.comb(n + len(pairs) - 1, n), n * max(int(s).bit_length(), d.bit_length())
+    terms = math.comb(n + len(pairs) - 1, n)
+    if isinstance(x, GrossPoly) and all(e.as_rational() is not None for _, e in pairs):
+        es = [e.as_rational() for _, e in pairs]
+        q = math.lcm(*(e.denominator for e in es))
+        terms = min(terms, n * q * (max(es) - min(es)) + 1)
+    return terms, n * max(int(s).bit_length(), d.bit_length())
 
 
 def _result(build):
@@ -341,6 +348,25 @@ def test_a_power_is_the_n_fold_product_within_its_bound(x, n):
     assert len(pairs) <= terms
     # x^0 is 1, one bit past a bound of 0
     assert max(max(abs(c.numerator), c.denominator).bit_length() for c, _ in pairs) <= max(bits, 1)
+
+
+@pytest.mark.parametrize(
+    "x, n, detail",
+    [
+        # 4 terms at n = 60 would pass MAX_POWER_BITS as C(63, 3) terms
+        (ExpCount(1, 2, G, G * G + G + 1), 60, "cross terms of corrected counts leave the closure"),
+        # 2*10^6 coefficient bits at n = 10^6
+        (
+            ExpCount(3, 2, CritRef(2, G, 0)),
+            10 ** 6,
+            "products of exponential counts need equal bases and polynomial exponents",
+        ),
+    ],
+)
+def test_a_count_outside_the_products_fails_as_its_product_before_the_size_guard(x, n, detail):
+    with pytest.raises(errors.UnsupportedProduct) as info:
+        gnum.power(x, fin(n))
+    assert str(info.value) == detail
 
 
 # the representation invariant

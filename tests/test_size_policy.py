@@ -41,6 +41,8 @@ AT_CAP = [
     ("(2^3999*G)^250 > G", "true"),
     # 707 terms of 1412 bits
     ("(G + 1)^706 > G", "true"),
+    # 999 exponents from 0 to 998 of 998 bits, not C(501, 2) terms
+    ("(G^2 + G + 1)^499 > G", "true"),
     ("(2^G)^1000000 == 2^(1000000*G)", "true"),
 ]
 
@@ -137,6 +139,12 @@ PAST_CAP = [
         "ExponentTooLarge",
         "coefficient bits of (G + 1)^707: 1001112 past MAX_POWER_BITS = 1000000",
         id="terms-times-coefficient-bits-of-a-power",
+    ),
+    # 1001 terms of 1000 bits
+    (
+        "(G^2 + G + 1)^500",
+        "ExponentTooLarge",
+        "coefficient bits of (G^2 + G + 1)^500: 1001000 past MAX_POWER_BITS = 1000000",
     ),
     pytest.param(
         "(2^1999*G)^501",
