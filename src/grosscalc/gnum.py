@@ -4,10 +4,10 @@ The value domain has two layers:
 
 * ``GrossPoly``: finite sums ``sum(c_i * G^e_i)`` where ``G`` is the infinite
   unit (the count of the whole set of natural numbers), the coefficients are
-  exact rationals, stored as an ``int`` when integral and as a ``Fraction``
-  otherwise (``_exact`` alone decides which), and the exponents are
-  themselves gross-polynomials.  This layer covers every set count such as
-  ``G/2``, ``2*G + 1`` or ``G^2``, plus the infinitesimals that appear as
+  exact rational numbers, stored as an ``int`` when integral and as a
+  ``Fraction`` otherwise (``_exact`` alone decides which), and the exponents
+  are themselves gross-polynomials.  This layer covers every set count such
+  as ``G/2``, ``2*G + 1`` or ``G^2``, plus the infinitesimals that appear as
   their reciprocals.
 * ``ExpCount``: counts of positional numeral systems, ``r * b^E + tail`` with
   a finite integer base ``b >= 2`` and an infinite exponent ``E``.  The
@@ -36,11 +36,12 @@ result only reuses its operands' exponents, their sums or differences, or
 finite constants, so it nests no deeper than its deepest operand.  A sum
 merges the two sorted term lists in one pass, comparing exponents by their
 order keys.  A product by a rational scales the other side's terms.  Any
-other product adds each pair of rational exponents as rationals, under an
-int or ``_fraction_key`` key, and since finite exponents order as their
-rationals do, those terms come out sorted by the rational, with no
+other product reads each rational exponent as an exact int over the lcm of
+their denominators, adds each pair of them as ints, and since finite
+exponents order as those ints do, its terms come out sorted by int, with no
 canonicalization; only pairs with a non-rational exponent add polynomials,
-and then one ``_canon`` takes every term.
+and then one ``_canon`` takes every term.  A quotient by a monomial
+subtracts its exponent from every term's, which keeps the terms in order.
 
 Exponential counts relate to one another through three rules, one function
 each, and each refuses with ExponentTooLarge a power past its cap:
@@ -478,23 +479,17 @@ def _pscale(x: GrossPoly, factor: Union[int, Fraction]) -> GrossPoly:
     return _poly(tuple([(_exact(c * factor), e) for c, e in x.terms]))
 
 
-def _fraction_key(r: Fraction):
-    """A dict key for a Fraction that hashes in C, where a Fraction hashes in
-    Python: its numerator and denominator, or the int it equals."""
-    n, d = r.numerator, r.denominator
-    return n if d == 1 else (n, d)
-
-
 def _pmul(x: GrossPoly, y: GrossPoly) -> GrossPoly:
     """x * y in O(n*m) coefficient products.
 
-    A rational side costs O(n), a scaling.  Otherwise a term pair whose
-    exponents are both rational adds its coefficient under the rational sum,
-    keyed by an int or a ``_fraction_key``, which hash and compare in C.
-    Finite exponents order as their rationals do, so those terms need no
-    canonicalization: they are sorted by the rational and take the operands'
-    exponent objects or ``fin`` of the sum.  Only pairs with a non-rational
-    exponent add polynomials, and then one ``_canon`` takes both kinds."""
+    A rational side costs O(n), a scaling.  Otherwise every rational
+    exponent r of either side is read as the exact int r*d, for d the lcm of
+    their denominators, so a term pair whose exponents are both rational
+    adds its coefficient under an int sum, and those terms sort as ints,
+    which order as the exponents do, with no canonicalization.  A sum takes
+    an operand's exponent object where one equals it, else ``fin`` of the
+    sum over d.  Only pairs with a non-rational exponent add polynomials,
+    and then one ``_canon`` takes both kinds."""
     # a rational factor scales the other side's terms and keeps their order
     r = x.as_rational()
     if r is not None:
@@ -504,36 +499,37 @@ def _pmul(x: GrossPoly, y: GrossPoly) -> GrossPoly:
         return _pscale(x, r)
     xs = [(c, e, e.as_rational()) for c, e in x.terms]
     ys = [(c, e, e.as_rational()) for c, e in y.terms]
-    y_rational = [(c, r) for c, _, r in ys if r is not None]
-    y_other = [(c, e) for c, e, r in ys if r is None]
-    sums = {}  # key of a rational exponent sum -> coefficient sum
-    rationals = {}  # the same key -> the rational sum
+    d = lcm(*[r.denominator for _, _, r in xs + ys if r is not None])
+    if d != 1:  # else every rational exponent is already an int
+        xs, ys = [
+            [(c, e, r if r is None else r.numerator * (d // r.denominator)) for c, e, r in side]
+            for side in (xs, ys)
+        ]
+    y_rational = [(c, k) for c, _, k in ys if k is not None]
+    y_other = [(c, e) for c, e, k in ys if k is None]
+    sums = {}  # d times a rational exponent sum -> coefficient sum
     other = []  # (coefficient, exponent) of pairs with a non-rational exponent
-    for cx, ex, rx in xs:
-        if rx is None:
+    for cx, ex, kx in xs:
+        if kx is None:
             other += [(cx * cy, _padd(ex, ey)) for cy, ey, _ in ys]
             continue
         other += [(cx * cy, _padd(ex, ey)) for cy, ey in y_other]
-        for cy, ry in y_rational:
-            r = rx + ry
-            k = r if type(r) is int else _fraction_key(r)
+        for cy, ky in y_rational:
+            k = kx + ky
             if k in sums:
                 sums[k] += cx * cy
             else:
                 sums[k] = cx * cy
-                rationals[k] = r
     # a sum equal to an operand's exponent takes that exponent object
-    shared = {
-        r if type(r) is int else _fraction_key(r): e for _, e, r in xs + ys if r is not None
-    }
+    shared = {k: e for _, e, k in xs + ys if k is not None}
     keys = [k for k, c in sums.items() if c]
     if not other:
-        keys.sort(key=rationals.__getitem__, reverse=True)
+        keys.sort(reverse=True)
     terms = []
     for k in keys:
         exp = shared.get(k)
         if exp is None:  # not a truth test: ZERO is falsy
-            exp = fin(rationals[k])
+            exp = fin(k // d if k % d == 0 else Fraction(k, d))
         terms.append((_exact(sums[k]), exp))
     if other:
         return _canon(terms + other)
@@ -776,7 +772,8 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
             raise NonExactDivision("an exponential count only divides by rationals or its own kind")
         if len(y.terms) == 1:
             dc, de = y.terms[0]
-            return _canon((Fraction(c) / dc, _psub(e, de)) for c, e in x.terms)
+            # one exponent off every term keeps them distinct and in order
+            return _poly(tuple([(_exact(Fraction(c) / dc), _psub(e, de)) for c, e in x.terms]))
         raise NonExactDivision("division by multi-term values is not supported")
     # y is ExpCount
     if isinstance(x, GrossPoly):
@@ -836,7 +833,7 @@ def power(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     product.  Written as P/D, with D the lcm of its denominators and S the
     sum of P's absolute coefficients, a base of k terms has a power of at
     most C(n + k - 1, k - 1) terms, and of at most n*q*(max e - min e) + 1
-    when its exponents e are rationals of common denominator q; each
+    when its exponents e are rational with common denominator q; each
     coefficient has at most n times the bits of S or of D, and terms times
     bits is at most MAX_POWER_BITS.  A corrected or critical count raised
     past 1 fails as its product with itself does.  One term

@@ -132,17 +132,20 @@ def _binomial(n: int) -> str:
 
 
 # a sum merges its two sorted term lists, and a product adds the coefficients
-# of each rational exponent sum under an int or (numerator, denominator) key,
-# so each 300-by-300-term product costs about its 90000 coefficient products.
-# The reference is one such product canonicalized by _canon with a fresh
-# exponent per term pair.  On a shared 2-core container (Python 3.11.7) the
-# four lines take 0.7 to 1.1 references; the limit stops a fresh exponent per
-# pair and a re-sorted sum per +, which take 8.0 to 15.
-def _products():
+# of each rational exponent sum under one exact int key, the sum times the
+# lcm of the exponents' denominators, so each 300-by-300-term product costs
+# about its 90000 coefficient products.  The reference is one such product
+# canonicalized by _canon with a fresh exponent per term pair.  On a shared
+# 2-core container (Python 3.11.7) the four lines take 0.7 to 1.1
+# references; the limit stops a fresh exponent per pair and a re-sorted sum
+# per +, which take 8.0 to 15.
+def _products(exponent: Callable = str):
+    """Four lines, each two products of 300-term counts with exponents
+    exponent(0) to exponent(299)."""
     rng = random.Random(19)
 
     def poly():
-        return " + ".join(f"{rng.randint(1, 9)}*G^{i}" for i in range(300))
+        return " + ".join(f"{rng.randint(1, 9)}*G^{exponent(i)}" for i in range(300))
 
     for _ in range(4):
         p, q = poly(), poly()
@@ -151,6 +154,22 @@ def _products():
 
 def _canon_300_by_300(text):
     return reference(5, lambda: gnum._canon([(1, gnum.fin(i + j)) for i in range(300) for j in range(300)]))
+
+
+# the same products with exponents in sixths cost what integer exponents do:
+# the reference is gc run on _products with integer exponents.  On a shared
+# 2-core container (Python 3.11.7) the sixths take 0.9 to 1.9 references;
+# the limit stops sorting the exponent sums as Fractions, which took 4.5 to 6.
+def _sixths():
+    return _products(lambda i: f"({i}/6)")
+
+
+def _integer_exponents(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        script = Path(tmp, "products.gc")
+        script.write_text("".join(line + "\n" for line in _products()), encoding="utf-8")
+        command = [sys.executable, *gc("run"), str(script)]
+        return reference(3, lambda: subprocess.run(command, env=_env(), stdout=subprocess.DEVNULL))
 
 
 # a token is a (kind, text, offset) tuple, and a line and column are worked out
@@ -263,6 +282,8 @@ ROWS = [
     )),
     Row("polynomial arithmetic at term-count scale", gc("run"), _products,
         values(*["true"] * 4), _canon_300_by_300),
+    Row("rational exponents at integer cost", gc("run"), _sixths,
+        values(*["true"] * 4), _integer_exponents),
     Row("parsing at token-count scale", gc("run"), _tokens,
         _distinct_tokens, _parse_line),
 ]

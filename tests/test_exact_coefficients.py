@@ -137,7 +137,7 @@ coeffs = st.one_of(
     st.integers(min_value=-6, max_value=6),
     st.fractions(min_value=-4, max_value=4, max_denominator=4),
 )
-rational_exps = st.fractions(min_value=-2, max_value=3, max_denominator=3).map(fin)
+rational_exps = st.fractions(min_value=-2, max_value=3, max_denominator=12).map(fin)
 poly_exps = st.lists(st.tuples(coeffs, rational_exps), min_size=1, max_size=2).map(make_poly)
 exps = st.one_of(rational_exps, rational_exps, poly_exps)
 polys = st.lists(st.tuples(coeffs, exps), max_size=3).map(make_poly)
@@ -493,6 +493,26 @@ def test_values_of_a_seeded_corpus_are_exact():
     ],
 )
 def test_division_sites_stay_exact(line, value):
+    result = gclang.eval_text(line)
+    assert gclang.render_value(result) == value
+    assert_exact(result)
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        # exponent sums on an operand's exponent (1/2, 1/6) and on new ones
+        # (2/3, 0)
+        ("(G^(1/2) + G^(1/3)) * (G^(1/6) + G^(-1/3))", "G^(2/3) + G^(1/2) + G^(1/6) + 1"),
+        # halves whose sums are integers, and cross terms that cancel
+        ("(G^(1/2) + 1) * (G^(1/2) - 1)", "G - 1"),
+        # denominators 4, 6 and 12: new sums 7/6 and 1/12, an operand's 1/4
+        ("(G^(3/4) + G^(-1/6)) * (2*G^(1/4) - G^(5/12)/3)", "-G^(7/6)/3 + 2*G - G^(1/4)/3 + 2*G^(1/12)"),
+        # a G^G term sends every term pair through _canon
+        ("(G^G + G^(1/2)) * (G^(1/3) - 1)", "G^(G + 1/3) - G^(G) + G^(5/6) - G^(1/2)"),
+    ],
+)
+def test_products_of_rational_exponents(line, value):
     result = gclang.eval_text(line)
     assert gclang.render_value(result) == value
     assert_exact(result)
